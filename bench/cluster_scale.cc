@@ -1,22 +1,11 @@
-// Cluster-scale benchmark: the package-parallel tick pipeline and the
-// hierarchical balance pass at 1k CPUs.
+// Cluster-scale benchmark: the tick pipeline and the hierarchical balance
+// pass at 1k CPUs.
 //
 // A 1024-logical machine (five-level topology 2:4:16:4:2 - 512 physical
-// packages) carries a sleeper-heavy consolidation population, and the bench
-// times three variants of the same run:
-//
-//   pool_off     intra_run_threads = 0: the historical interleaved loop.
-//   pool_serial  intra_run_threads = 1: the sharded pipeline, one worker.
-//   pool_on      intra_run_threads = N (--intra, default 4): the sharded
-//                pipeline fanned over the worker pool.
-//
-// pool_serial and pool_on must finish in bit-identical states (the sharded
-// pipeline's worker-count-independence contract); the bench exits non-zero
-// if they diverge. The pool_on speedup over pool_off is hardware-dependent -
-// a single-core container shows ~1x by construction - so the regression gate
-// (tools/bench_compare.py) compares each row's ticks/s against the committed
-// baseline measured on the same class of machine rather than asserting an
-// absolute multiplier here.
+// packages) carries a sleeper-heavy consolidation population, and the
+// tick_1024 row times the engine's tick over it. The regression gate
+// (tools/bench_compare.py) compares its ticks/s against the committed
+// baseline measured on the same class of machine.
 //
 // The balance rows probe the hierarchical balancer directly: a full
 // policy->Balance() sweep over every CPU at 128 and at 1024 CPUs, cache
@@ -25,7 +14,7 @@
 // the machine grows 8x; the balance_scaling row asserts the measured ratio
 // stays sublinear (< 4x for 8x the CPUs).
 //
-//   $ bench_cluster_scale [--ticks=2000] [--intra=4] [--out=BENCH_cluster_scale.json]
+//   $ bench_cluster_scale [--ticks=2000] [--out=BENCH_cluster_scale.json]
 
 #include <algorithm>
 #include <chrono>
@@ -63,7 +52,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-eas::MachineConfig BenchConfig(const char* topology, std::size_t intra_threads) {
+eas::MachineConfig BenchConfig(const char* topology) {
   auto resolved = eas::ResolveRunRequest(*eas::ParseRunRequest(
       std::string("topology = ") + topology + "; max-power = 60; seed = 7"));
   if (!resolved.ok()) {
@@ -72,7 +61,6 @@ eas::MachineConfig BenchConfig(const char* topology, std::size_t intra_threads) 
   }
   eas::MachineConfig config = resolved->specs.front().config;
   config.estimator_weights = eas::EnergyModel::Default().weights();
-  config.intra_run_threads = intra_threads;
   return config;
 }
 
@@ -100,44 +88,25 @@ void SpawnClusterPopulation(eas::SimulationState& state, const eas::ProgramLibra
   }
 }
 
-bool BitIdentical(eas::SimulationState& a, eas::SimulationState& b) {
-  if (a.TotalWorkDone() != b.TotalWorkDone() || a.TotalTaskEnergy() != b.TotalTaskEnergy() ||
-      a.migration_count() != b.migration_count() || a.now() != b.now()) {
-    return false;
-  }
-  for (std::size_t phys = 0; phys < a.num_physical(); ++phys) {
-    if (a.Temperature(phys) != b.Temperature(phys) || a.TruePower(phys) != b.TruePower(phys)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-struct PoolRow {
+struct TickRow {
   std::string name;
-  std::size_t intra_threads = 0;
   std::size_t cpus = 0;
   Tick ticks = 0;
   double ticks_per_second = 0.0;
-  double speedup_vs_pool_off = 0.0;
-  bool identical = false;
-  std::unique_ptr<eas::SimulationState> state;  // kept for the cross-checks
 };
 
-PoolRow MeasurePool(const std::string& name, const eas::ProgramLibrary& library,
-                    std::size_t intra_threads, Tick ticks) {
-  const eas::MachineConfig config = BenchConfig(kClusterTopology, intra_threads);
-  PoolRow row;
-  row.name = name;
-  row.intra_threads = intra_threads;
+TickRow MeasureTick(const eas::ProgramLibrary& library, Tick ticks) {
+  const eas::MachineConfig config = BenchConfig(kClusterTopology);
+  TickRow row;
   row.cpus = config.topology.num_logical();
+  row.name = "tick_" + std::to_string(row.cpus);
   row.ticks = ticks;
-  row.state = std::make_unique<eas::SimulationState>(config);
+  eas::SimulationState state(config);
   eas::SimulationEngine engine(config.sched);
-  SpawnClusterPopulation(*row.state, library);
+  SpawnClusterPopulation(state, library);
   const auto start = std::chrono::steady_clock::now();
   for (Tick t = 0; t < ticks; ++t) {
-    engine.Tick(*row.state);
+    engine.Tick(state);
   }
   const double seconds = SecondsSince(start);
   row.ticks_per_second = seconds > 0.0 ? static_cast<double>(ticks) / seconds : 0.0;
@@ -156,7 +125,7 @@ struct BalanceRow {
 // replaying the version-keyed cache.
 BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& library,
                           int sweeps, Tick warmup_ticks) {
-  const eas::MachineConfig config = BenchConfig(topology, 0);
+  const eas::MachineConfig config = BenchConfig(topology);
   BalanceRow row;
   row.cpus = config.topology.num_logical();
   row.name = "balance_" + std::to_string(row.cpus);
@@ -188,14 +157,13 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
 
 int main(int argc, char** argv) {
   const eas::FlagParser flags(argc, argv);
-  const std::vector<std::string> unknown = flags.UnknownFlags({"ticks", "intra", "out"});
+  const std::vector<std::string> unknown = flags.UnknownFlags({"ticks", "out"});
   if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s (known: --ticks --intra --out)\n",
+    std::fprintf(stderr, "unknown flag --%s (known: --ticks --out)\n",
                  unknown.front().c_str());
     return 1;
   }
   const Tick ticks = std::max<Tick>(1, flags.GetInt("ticks", 2'000));
-  const std::size_t intra = static_cast<std::size_t>(std::max<long long>(2, flags.GetInt("intra", 4)));
   const std::string out = flags.GetString("out", "BENCH_cluster_scale.json");
 
   const eas::EnergyModel model = eas::EnergyModel::Default();
@@ -206,26 +174,7 @@ int main(int argc, char** argv) {
 
   const auto bench_start = std::chrono::steady_clock::now();
 
-  PoolRow pool_off = MeasurePool("pool_off", library, 0, ticks);
-  PoolRow pool_serial = MeasurePool("pool_serial", library, 1, ticks);
-  PoolRow pool_on = MeasurePool("pool_on", library, intra, ticks);
-
-  // The contract: every sharded worker count produces the same bits. The
-  // interleaved row is cross-checked too - this workload never completes a
-  // task, so lifecycle ordering cannot feed back across packages and the two
-  // modes coincide.
-  pool_serial.identical = BitIdentical(*pool_serial.state, *pool_on.state);
-  pool_on.identical = pool_serial.identical;
-  pool_off.identical = BitIdentical(*pool_off.state, *pool_serial.state);
-  pool_off.speedup_vs_pool_off = 1.0;
-  pool_serial.speedup_vs_pool_off =
-      pool_serial.ticks_per_second > 0.0 && pool_off.ticks_per_second > 0.0
-          ? pool_serial.ticks_per_second / pool_off.ticks_per_second
-          : 0.0;
-  pool_on.speedup_vs_pool_off =
-      pool_on.ticks_per_second > 0.0 && pool_off.ticks_per_second > 0.0
-          ? pool_on.ticks_per_second / pool_off.ticks_per_second
-          : 0.0;
+  const TickRow tick = MeasureTick(library, ticks);
 
   // Balance sweeps sized off --ticks so the smoke run stays tiny; identical
   // sweep counts at both sizes keep the comparison clean.
@@ -248,14 +197,8 @@ int main(int argc, char** argv) {
 
   const double wall_seconds = SecondsSince(bench_start);
 
-  std::printf("  %-12s  %6s  %6s  %14s  %8s  %s\n", "row", "intra", "cpus", "ticks/s",
-              "speedup", "identical");
-  const PoolRow* pool_rows[] = {&pool_off, &pool_serial, &pool_on};
-  for (const PoolRow* row : pool_rows) {
-    std::printf("  %-12s  %6zu  %6zu  %14.1f  %7.2fx  %s\n", row->name.c_str(),
-                row->intra_threads, row->cpus, row->ticks_per_second,
-                row->speedup_vs_pool_off, row->identical ? "yes" : "NO");
-  }
+  std::printf("  %-12s  %6s  %14s\n", "row", "cpus", "ticks/s");
+  std::printf("  %-12s  %6zu  %14.1f\n", tick.name.c_str(), tick.cpus, tick.ticks_per_second);
   std::printf("\n  %-12s  %6s  %10s  %16s\n", "row", "cpus", "passes", "passes/s");
   const BalanceRow* balance_rows[] = {&balance_small, &balance_large};
   for (const BalanceRow* row : balance_rows) {
@@ -267,21 +210,16 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n  \"bench\": \"cluster_scale\",\n  \"ticks\": " +
                      std::to_string(static_cast<long long>(ticks)) +
-                     ",\n  \"intra_threads\": " + std::to_string(intra) +
                      ",\n  \"balance_sweeps\": " + std::to_string(sweeps) +
                      ",\n  \"threads\": 1,\n  \"build_type\": \"" + kBuildType +
                      "\",\n  \"rows\": [\n";
   char entry[320];
-  for (const PoolRow* row : pool_rows) {
-    std::snprintf(entry, sizeof(entry),
-                  "    {\"name\": \"%s\", \"intra_threads\": %zu, \"cpus\": %zu, "
-                  "\"ticks\": %lld, \"ticks_per_second\": %.1f, "
-                  "\"speedup_vs_pool_off\": %.3f, \"identical\": %s},\n",
-                  row->name.c_str(), row->intra_threads, row->cpus,
-                  static_cast<long long>(row->ticks), row->ticks_per_second,
-                  row->speedup_vs_pool_off, row->identical ? "true" : "false");
-    json += entry;
-  }
+  std::snprintf(entry, sizeof(entry),
+                "    {\"name\": \"%s\", \"cpus\": %zu, \"ticks\": %lld, "
+                "\"ticks_per_second\": %.1f},\n",
+                tick.name.c_str(), tick.cpus, static_cast<long long>(tick.ticks),
+                tick.ticks_per_second);
+  json += entry;
   for (const BalanceRow* row : balance_rows) {
     std::snprintf(entry, sizeof(entry),
                   "    {\"name\": \"%s\", \"cpus\": %zu, \"passes\": %lld, "
@@ -303,9 +241,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out.c_str());
-  if (!pool_serial.identical) {
-    std::fprintf(stderr, "ERROR: sharded pipeline diverged across worker counts\n");
-    return 1;
-  }
   return 0;
 }

@@ -92,7 +92,7 @@ void BM_EnergyBalancerPass(benchmark::State& state) {
   eas::EnergyLoadBalancer balancer;
   int cpu = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(balancer.Balance(cpu, machine));
+    benchmark::DoNotOptimize(balancer.Balance(cpu, machine.state()));
     cpu = (cpu + 1) % 8;
   }
 }
@@ -108,8 +108,9 @@ void BM_InitialPlacement(benchmark::State& state) {
   eas::InitialPlacement placement;
   eas::Program program("probe", 4242, {eas::Phase{}}, 0);
   eas::Task task(9999, &program, 1);
+  const eas::SimulationState& env = machine.state();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(placement.Place(task, machine, machine.binary_registry()));
+    benchmark::DoNotOptimize(placement.Place(task, env, env.binary_registry()));
   }
 }
 BENCHMARK(BM_InitialPlacement);

@@ -38,7 +38,7 @@ Measurement MeasureAlone(const eas::Program& program) {
     machine.Step();
     // Sample only while the task runs (interactive programs sleep).
     if (task->state() == eas::TaskState::kRunning) {
-      const double p = machine.TruePower(0);
+      const double p = machine.state().TruePower(0);
       sum += p;
       ++samples;
       m.min_true = std::min(m.min_true, p);

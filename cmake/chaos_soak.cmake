@@ -9,8 +9,6 @@
 #   * runner-thread independence: --threads 1, 2 and 8 must produce
 #     byte-identical summaries (faults are injected engine-side, never from
 #     runner workers);
-#   * intra-worker independence: --intra-threads 0, 1 and 3 agree bit-for-bit
-#     (the FaultPhase runs engine-sequentially before any package fan-out);
 #   * skip-ahead neutrality: --no-skip-ahead must not change the bytes (a
 #     pending fault bounds the quiescent span, so skipping never jumps one);
 #   * fault-free cancellation: --faults none on the same scenario still runs
@@ -27,13 +25,11 @@ set(base_csv ${OUT_DIR}/chaos_soak_base.csv)
 set(replay_csv ${OUT_DIR}/chaos_soak_replay.csv)
 set(threads2_csv ${OUT_DIR}/chaos_soak_threads2.csv)
 set(threads8_csv ${OUT_DIR}/chaos_soak_threads8.csv)
-set(intra1_csv ${OUT_DIR}/chaos_soak_intra1.csv)
-set(intra3_csv ${OUT_DIR}/chaos_soak_intra3.csv)
 set(noskip_csv ${OUT_DIR}/chaos_soak_noskip.csv)
 set(nofault_csv ${OUT_DIR}/chaos_soak_nofault.csv)
 set(request_file ${OUT_DIR}/chaos_soak.req)
 file(REMOVE ${base_csv} ${replay_csv} ${threads2_csv} ${threads8_csv}
-     ${intra1_csv} ${intra3_csv} ${noskip_csv} ${nofault_csv} ${request_file})
+     ${noskip_csv} ${nofault_csv} ${request_file})
 
 function(run_chaos description out_csv)
   execute_process(
@@ -52,8 +48,6 @@ endfunction()
 run_chaos("chaos baseline" ${base_csv} --scenario ${scenario} --threads 1)
 run_chaos("chaos, 2 runner threads" ${threads2_csv} --scenario ${scenario} --threads 2)
 run_chaos("chaos, 8 runner threads" ${threads8_csv} --scenario ${scenario} --threads 8)
-run_chaos("chaos, 1 intra worker" ${intra1_csv} --scenario ${scenario} --intra-threads 1)
-run_chaos("chaos, 3 intra workers" ${intra3_csv} --scenario ${scenario} --intra-threads 3)
 run_chaos("chaos, skip-ahead off" ${noskip_csv} --scenario ${scenario} --no-skip-ahead)
 run_chaos("chaos cancelled by --faults none" ${nofault_csv} --scenario ${scenario}
           --faults none)
@@ -102,8 +96,6 @@ endfunction()
 expect_identical("request replay" ${base_csv} ${replay_csv})
 expect_identical("runner-thread independence (2)" ${base_csv} ${threads2_csv})
 expect_identical("runner-thread independence (8)" ${base_csv} ${threads8_csv})
-expect_identical("intra-worker independence (1)" ${base_csv} ${intra1_csv})
-expect_identical("intra-worker independence (3)" ${base_csv} ${intra3_csv})
 expect_identical("skip-ahead neutrality" ${base_csv} ${noskip_csv})
 
 message(STATUS "chaos soak passed")

@@ -1,16 +1,9 @@
 # Cluster smoke test, run by ctest under the "cluster-smoke" label (see the
 # tests section of the root CMakeLists): the datacenter-consolidation
 # scenario - 512 logical CPUs on the five-level 2:4:8:4:2 tree - at a
-# reduced duration, exercising the sharded tick pipeline end to end and
-# checking its determinism contracts byte-for-byte on the summary CSV:
-#
-#   * worker-count independence: --intra-threads 1 and --intra-threads 3
-#     must produce byte-identical summaries;
-#   * skip-ahead neutrality: --no-skip-ahead must not change the bytes;
-#   * interleaved/sharded agreement: this scenario completes no tasks, so
-#     cross-package lifecycle feedback never happens and the historical
-#     interleaved loop (--intra-threads 0) coincides with the sharded
-#     pipeline bit-for-bit.
+# reduced duration, exercising the tick pipeline at cluster scale end to end
+# and checking skip-ahead neutrality byte-for-byte on the summary CSV:
+# --no-skip-ahead must not change the bytes.
 #
 # The duration is sized for sanitized Debug builds (ASan/UBSan/TSan legs run
 # this label); the TIMEOUT on the ctest registration is the real guard.
@@ -20,11 +13,9 @@
 set(scenario datacenter-consolidation)
 set(duration 2)
 
-set(intra1_csv ${OUT_DIR}/cluster_smoke_intra1.csv)
-set(intra3_csv ${OUT_DIR}/cluster_smoke_intra3.csv)
-set(intra0_csv ${OUT_DIR}/cluster_smoke_intra0.csv)
+set(base_csv ${OUT_DIR}/cluster_smoke_base.csv)
 set(noskip_csv ${OUT_DIR}/cluster_smoke_noskip.csv)
-file(REMOVE ${intra1_csv} ${intra3_csv} ${intra0_csv} ${noskip_csv})
+file(REMOVE ${base_csv} ${noskip_csv})
 
 function(run_cluster description out_csv)
   execute_process(
@@ -41,13 +32,11 @@ function(run_cluster description out_csv)
   endif()
 endfunction()
 
-run_cluster("sharded run (1 worker)" ${intra1_csv} --intra-threads 1)
-run_cluster("sharded run (3 workers)" ${intra3_csv} --intra-threads 3)
-run_cluster("interleaved run" ${intra0_csv} --intra-threads 0)
-run_cluster("sharded run, skip-ahead off" ${noskip_csv} --intra-threads 3 --no-skip-ahead)
+run_cluster("cluster run" ${base_csv})
+run_cluster("cluster run, skip-ahead off" ${noskip_csv} --no-skip-ahead)
 
 # The summary must be a real run of the 512-CPU machine, not a truncated one.
-file(STRINGS ${intra1_csv} summary_lines)
+file(STRINGS ${base_csv} summary_lines)
 list(LENGTH summary_lines summary_length)
 if(summary_length LESS 5)
   message(FATAL_ERROR "cluster summary has ${summary_length} line(s); want the full summary")
@@ -59,16 +48,10 @@ foreach(key migrations completions throughput)
   endif()
 endforeach()
 
-function(expect_identical description file_a file_b)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${file_a} ${file_b}
-                  RESULT_VARIABLE result)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${description}: ${file_a} and ${file_b} differ")
-  endif()
-endfunction()
-
-expect_identical("worker-count independence" ${intra1_csv} ${intra3_csv})
-expect_identical("skip-ahead neutrality" ${intra3_csv} ${noskip_csv})
-expect_identical("interleaved/sharded agreement" ${intra0_csv} ${intra1_csv})
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${base_csv} ${noskip_csv}
+                RESULT_VARIABLE result)
+if(NOT result EQUAL 0)
+  message(FATAL_ERROR "skip-ahead neutrality: ${base_csv} and ${noskip_csv} differ")
+endif()
 
 message(STATUS "cluster smoke test passed")

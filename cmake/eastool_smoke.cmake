@@ -251,4 +251,12 @@ run_expect_failure("unknown governor" ${EASTOOL} --governor no-such-governor --d
 run_expect_failure("unknown governor over scenario"
                    ${EASTOOL} --scenario paper-mixed --governor bogus --duration-s 1)
 
+# The engine has a single tick pipeline, so there is no intra-run worker
+# flag: --intra-threads is rejected like any unknown flag.
+execute_process(COMMAND ${EASTOOL} --intra-threads 1 --duration-s 1
+                RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE stderr)
+if(result EQUAL 0 OR NOT stderr MATCHES "unknown flag --intra-threads")
+  message(FATAL_ERROR "--intra-threads: want an unknown-flag rejection, got (${result}):\n${stderr}")
+endif()
+
 message(STATUS "eastool smoke test passed")

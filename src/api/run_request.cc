@@ -21,10 +21,10 @@ namespace {
 // The request-file keys, in canonical (format) order. Kept aligned with the
 // eastool flag names so a request file reads like the command line it
 // replaces.
-constexpr const char* kKeys[] = {"name",       "tag",      "scenario",   "topology",
-                                 "workload",   "policy",   "governor",   "duration-s",
+constexpr const char* kKeys[] = {"name",       "tag",        "scenario", "topology",
+                                 "workload",   "policy",     "governor", "duration-s",
                                  "max-power",  "temp-limit", "throttle", "faults",
-                                 "skip-ahead", "intra-threads", "seed",  "runs"};
+                                 "skip-ahead", "seed",       "runs"};
 
 std::string KnownKeys() {
   std::string known;
@@ -151,7 +151,7 @@ std::optional<RequestError> ApplyPair(const std::string& key, const std::string&
     }
     return std::nullopt;
   }
-  if (key == "seed" || key == "runs" || key == "intra-threads") {
+  if (key == "seed" || key == "runs") {
     std::uint64_t parsed = 0;
     if (!ParseUintValue(value, &parsed)) {
       return MakeError(
@@ -160,10 +160,8 @@ std::optional<RequestError> ApplyPair(const std::string& key, const std::string&
     }
     if (key == "seed") {
       request->seed = parsed;
-    } else if (key == "runs") {
-      request->runs = parsed;
     } else {
-      request->intra_threads = parsed;
+      request->runs = parsed;
     }
     return std::nullopt;
   }
@@ -221,9 +219,6 @@ std::string FormatWithSeparator(const RunRequest& request, const char* separator
   }
   if (request.skip_ahead.has_value()) {
     Append(&out, "skip-ahead", *request.skip_ahead ? "true" : "false", separator);
-  }
-  if (request.intra_threads.has_value()) {
-    Append(&out, "intra-threads", std::to_string(*request.intra_threads), separator);
   }
   if (request.seed.has_value()) {
     Append(&out, "seed", std::to_string(*request.seed), separator);
@@ -457,11 +452,6 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   // an unset one keeps the config default (on).
   if (request.skip_ahead.has_value()) {
     spec.config.skip_ahead = *request.skip_ahead;
-  }
-  // Likewise intra-threads: explicit wins, unset keeps the config default
-  // (0 = the historical interleaved tick).
-  if (request.intra_threads.has_value()) {
-    spec.config.intra_run_threads = static_cast<std::size_t>(*request.intra_threads);
   }
   if (!from_scenario || request.seed.has_value()) {
     spec.config.seed = request.seed.value_or(42);

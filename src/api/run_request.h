@@ -96,12 +96,6 @@ struct RunRequest {
   // (eastool --no-skip-ahead).
   std::optional<bool> skip_ahead;
 
-  // Intra-run worker threads for the package-parallel tick pipeline
-  // (MachineConfig::intra_run_threads). Default 0: the historical
-  // interleaved per-package loop. >= 1 selects the sharded pipeline, whose
-  // results are bit-identical for every worker count >= 1.
-  std::optional<std::uint64_t> intra_threads;
-
   std::optional<std::uint64_t> seed;  // base seed (default 42)
 
   // Seed-sweep width: the request expands into `runs` specs seeded

@@ -136,8 +136,11 @@ bool ParsePackageFault(const std::string& clause, const std::string& body, Fault
 // Expands one `churn:<n>@<horizon>:<seed>` clause into n offline/online
 // pairs drawn from a dedicated Rng(seed) - the spec text alone determines
 // every cpu and tick, independent of the experiment's shared stream.
+// `*churn_pairs` counts the pairs earlier churn clauses of the plan already
+// expanded; the total is checked against kMaxChurnPairs before expanding.
 bool ParseChurn(const std::string& clause, const std::string& body,
-                const CpuTopology& topology, FaultPlan* plan, std::string* error) {
+                const CpuTopology& topology, FaultPlan* plan, std::int64_t* churn_pairs,
+                std::string* error) {
   const std::vector<std::string> at = Split(body, '@');
   std::int64_t count = 0;
   if (at.size() != 2 || !ParseInt64(at[0], &count)) {
@@ -152,6 +155,12 @@ bool ParseChurn(const std::string& clause, const std::string& body,
   if (count < 1) {
     return Fail(error, clause, "pair count must be >= 1");
   }
+  if (count > kMaxChurnPairs - *churn_pairs) {
+    return Fail(error, clause,
+                "pair count " + std::to_string(count) + " exceeds the limit of " +
+                    std::to_string(kMaxChurnPairs) + " churn pairs per plan");
+  }
+  *churn_pairs += count;
   if (horizon < 2) {
     return Fail(error, clause, "horizon must be >= 2 ticks");
   }
@@ -182,6 +191,7 @@ bool ParseChurn(const std::string& clause, const std::string& body,
 std::optional<FaultPlan> ParseFaultPlan(const std::string& spec, const CpuTopology& topology,
                                         std::string* error) {
   FaultPlan plan;
+  std::int64_t churn_pairs = 0;
   if (spec.empty() || spec == "none") {
     return plan;
   }
@@ -209,7 +219,7 @@ std::optional<FaultPlan> ParseFaultPlan(const std::string& spec, const CpuTopolo
     } else if (kind == "clamp") {
       ok = ParsePackageFault(clause, body, FaultKind::kPStateClamp, topology, &plan, error);
     } else if (kind == "churn") {
-      ok = ParseChurn(clause, body, topology, &plan, error);
+      ok = ParseChurn(clause, body, topology, &plan, &churn_pairs, error);
     } else {
       Fail(error, clause, "unknown kind '" + kind + "' (kinds: off, on, spike, clamp, churn)");
     }
@@ -237,7 +247,8 @@ std::string FaultPlanGrammar() {
       "                                   index floor for dur ticks\n"
       "  churn:<n>@<horizon>:<seed>       expand into n seeded offline/online pairs\n"
       "                                   over ticks [1, horizon]; the schedule is a\n"
-      "                                   function of the spec text alone\n"
+      "                                   function of the spec text alone (at most\n"
+      "                                   " + std::to_string(kMaxChurnPairs) + " pairs per plan)\n"
       "  none                             the empty plan (cancels a scenario's)\n"
       "example:\n"
       "  --faults churn:10@50000:1337,spike:0@6000:12:2500,clamp:2@10000:3:6000\n";

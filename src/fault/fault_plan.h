@@ -31,6 +31,7 @@
 #define SRC_FAULT_FAULT_PLAN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,8 +66,16 @@ struct FaultPlan {
   bool empty() const { return events.empty(); }
 };
 
+// Upper bound on the offline/online pairs the churn clauses of one plan
+// expand into, together: 1000x the largest builtin plan (`churn:10`). The
+// spec text is untrusted request input, and expansion happens before the
+// run starts, so an unbounded `churn:<n>` would let one short string spend
+// seconds and gigabytes before any work is admitted.
+inline constexpr std::int64_t kMaxChurnPairs = 10'000;
+
 // Parses `spec` against `topology` (CPU and package indices must be in
-// range, durations >= 1, spike deltas finite). Returns nullopt and fills
+// range, durations >= 1, spike deltas finite, at most kMaxChurnPairs churn
+// pairs). Returns nullopt and fills
 // *error with a diagnostic on a malformed spec - the ParseTopologySpec
 // idiom. "none" and the empty string parse to an empty plan.
 std::optional<FaultPlan> ParseFaultPlan(const std::string& spec, const CpuTopology& topology,

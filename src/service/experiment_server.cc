@@ -148,9 +148,11 @@ void ExperimentServer::HandleConnection(int fd) {
       for (long i = 0; i < count; ++i) {
         std::string member;
         if (!conn->channel.ReadLine(&member) || member.rfind("run ", 0) != 0) {
-          conn->Write("err " + RequestErrorToJson(ProtocolError(
-                                   "batch expected " + std::to_string(count) +
-                                   " run lines, got \"" + member + "\"")));
+          if (!conn->channel.line_too_long()) {
+            conn->Write("err " + RequestErrorToJson(ProtocolError(
+                                     "batch expected " + std::to_string(count) +
+                                     " run lines, got \"" + member + "\"")));
+          }
           bad = true;
           break;
         }
@@ -177,6 +179,11 @@ void ExperimentServer::HandleConnection(int fd) {
       break;
     }
     conn->Write("err " + RequestErrorToJson(ProtocolError("unknown verb: \"" + line + "\"")));
+  }
+  if (conn->channel.line_too_long()) {
+    conn->Write("err " + RequestErrorToJson(ProtocolError(
+                             "line exceeds the " + std::to_string(LineChannel::kMaxLineBytes) +
+                             "-byte limit; closing the connection")));
   }
   // conn stays alive through the callbacks' shared_ptr until the last
   // outstanding record is streamed; nothing to wait for here.

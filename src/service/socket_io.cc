@@ -103,8 +103,12 @@ Expected<int> ConnectUnix(const std::string& path) {
 }
 
 LineChannel::LineChannel(LineChannel&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      scanned_(other.scanned_),
+      line_too_long_(other.line_too_long_) {
   other.fd_ = -1;
+  other.scanned_ = 0;
 }
 
 LineChannel::~LineChannel() {
@@ -114,13 +118,22 @@ LineChannel::~LineChannel() {
 }
 
 bool LineChannel::ReadLine(std::string* line) {
-  while (true) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
+  while (!line_too_long_) {
+    // Only the bytes appended since the last scan can hold the terminator.
+    const std::size_t newline = buffer_.find('\n', scanned_);
+    if (newline != std::string::npos && newline <= kMaxLineBytes) {
       *line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return true;
     }
+    if (newline != std::string::npos || buffer_.size() > kMaxLineBytes) {
+      line_too_long_ = true;
+      buffer_.clear();
+      buffer_.shrink_to_fit();
+      return false;
+    }
+    scanned_ = buffer_.size();
     char chunk[4096];
     const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
     if (got < 0) {
@@ -134,12 +147,14 @@ bool LineChannel::ReadLine(std::string* line) {
       if (!buffer_.empty()) {
         *line = std::move(buffer_);
         buffer_.clear();
+        scanned_ = 0;
         return true;
       }
       return false;
     }
     buffer_.append(chunk, static_cast<std::size_t>(got));
   }
+  return false;
 }
 
 bool LineChannel::WriteLine(const std::string& line) {

@@ -11,9 +11,9 @@
 //                      flag; unlinks the path on destruction
 //   ConnectUnix        client connect, as a plain fd
 //   LineChannel        newline-framed reads/writes over an fd: ReadLine
-//                      buffers partial reads, WriteLine loops partial
-//                      writes. Framing only - message semantics live in
-//                      wire.h
+//                      buffers partial reads up to a line-length cap,
+//                      WriteLine loops partial writes. Framing only -
+//                      message semantics live in wire.h
 //
 // Everything reports failure as RequestError (code kIo) so transport and
 // request errors flow through the same client-facing type.
@@ -21,6 +21,7 @@
 #ifndef SRC_SERVICE_SOCKET_IO_H_
 #define SRC_SERVICE_SOCKET_IO_H_
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -61,6 +62,11 @@ Expected<int> ConnectUnix(const std::string& path);
 // their own mutex.
 class LineChannel {
  public:
+  // Longest line ReadLine accepts, terminator excluded: far above any
+  // request or record line, and small enough that a peer streaming bytes
+  // without a newline cannot grow the buffer without bound.
+  static constexpr std::size_t kMaxLineBytes = 1 << 20;
+
   explicit LineChannel(int fd) : fd_(fd) {}
   LineChannel(LineChannel&& other) noexcept;
   LineChannel& operator=(LineChannel&&) = delete;
@@ -68,8 +74,13 @@ class LineChannel {
   ~LineChannel();
 
   // Reads the next '\n'-terminated line (terminator stripped); false on
-  // EOF or error (a final unterminated fragment is delivered first).
+  // EOF or error (a final unterminated fragment is delivered first), and
+  // from then on once a line exceeds kMaxLineBytes (see line_too_long()).
   bool ReadLine(std::string* line);
+
+  // True once ReadLine has refused an over-long line. The stream is then
+  // mid-line with no way to resynchronize, so the channel stays failed.
+  bool line_too_long() const { return line_too_long_; }
 
   // Writes `line` plus the '\n' frame; false once the peer is gone.
   bool WriteLine(const std::string& line);
@@ -79,6 +90,8 @@ class LineChannel {
  private:
   int fd_ = -1;
   std::string buffer_;
+  std::size_t scanned_ = 0;  // prefix of buffer_ known to hold no '\n'
+  bool line_too_long_ = false;
 };
 
 }  // namespace eas

@@ -140,9 +140,8 @@ ScenarioSpec DatacenterConsolidation() {
       "daemons over a batch floor";
   // A consolidation *cluster*, not a host: 2 racks x 4 boards x 8 nodes x
   // 4 packages x 2 SMT = 512 logical CPUs under a five-level domain tree.
-  // This is the scale target the level-list topology, the per-domain
-  // aggregate rollups and the sharded tick pipeline exist for; run it with
-  // --intra-threads N to fan the package phases across workers.
+  // This is the scale target the level-list topology and the per-domain
+  // aggregate rollups exist for.
   spec.config.topology = CpuTopology({{"rack", 2},
                                       {"board", 4},
                                       {"node", 8},

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/base/annotations.h"
 #include "src/counters/event_types.h"
 #include "src/sim/simulation_state.h"
 
@@ -23,9 +22,9 @@ class CounterSampler {
  public:
   // Processes one executed tick of `physical`. `events[i]` are the counter
   // events of `active[i]`. Returns the package's true dynamic energy (J).
-  EAS_SHARD_LOCAL double Sample(SimulationState& state, std::size_t physical,
-                                const std::vector<int>& active,
-                                const std::vector<EventVector>& events);
+  double Sample(SimulationState& state, std::size_t physical,
+                const std::vector<int>& active,
+                const std::vector<EventVector>& events);
 
  private:
   // Reusable per-logical-CPU active mask: replaces the O(active x siblings)

@@ -58,6 +58,7 @@ RunResult Experiment::Run(const std::vector<const Program*>& programs) {
 
 RunResult Experiment::Run(const Workload& workload) {
   RunResult result;
+  SimulationState& state = machine_->state();
   const std::vector<TaskArrival>& arrivals = workload.arrivals();
 
   // Initial spawn set: everything that arrives at or before the run start.
@@ -76,13 +77,13 @@ RunResult Experiment::Run(const Workload& workload) {
   // the run start: a machine that already ran keeps its tick counter.
   const Tick start = machine_->now();
   for (; next < arrivals.size(); ++next) {
-    machine_->state().ScheduleArrival(*arrivals[next].program, arrivals[next].nice,
-                                      start + arrivals[next].tick);
+    state.ScheduleArrival(*arrivals[next].program, arrivals[next].nice,
+                          start + arrivals[next].tick);
   }
 
   Accounting::Options accounting_options;
   accounting_options.sample_interval_ticks = options_.sample_interval_ticks;
-  Accounting accounting(machine_->state(), accounting_options);
+  Accounting accounting(state, accounting_options);
   if (options_.record_task_cpu) {
     for (const Task* task : spawned) {
       accounting.TraceTask(task);
@@ -93,8 +94,8 @@ RunResult Experiment::Run(const Workload& workload) {
   // chaos schedule that loses a task or unbalances a ledger throws out of
   // Run instead of producing silently-wrong records.
   std::unique_ptr<InvariantChecker> checker;
-  if (machine_->config().faulted()) {
-    checker = std::make_unique<InvariantChecker>(machine_->state());
+  if (state.config().faulted()) {
+    checker = std::make_unique<InvariantChecker>(state);
     machine_->engine().AddObserver(checker.get());
   }
 
@@ -106,20 +107,20 @@ RunResult Experiment::Run(const Workload& workload) {
   }
   // Arrivals scheduled at or past the duration are still pending; a later
   // run on this machine must not inherit them.
-  machine_->state().ClearPendingArrivals();
+  state.ClearPendingArrivals();
 
   result.thermal_power = std::move(accounting.thermal_power());
   result.temperature = std::move(accounting.temperature());
   result.task_cpu = std::move(accounting.task_cpu());
   result.frequency = std::move(accounting.frequency());
 
-  result.migrations = machine_->migration_count();
-  result.completions = machine_->TotalCompletions();
-  result.work_done_ticks = machine_->TotalWorkDone();
+  result.migrations = state.migration_count();
+  result.completions = state.TotalCompletions();
+  result.work_done_ticks = state.TotalWorkDone();
   result.duration_seconds = TicksToSeconds(options_.duration_ticks);
-  const CpuTopology& topology = machine_->config().topology;
-  for (std::size_t cpu = 0; cpu < machine_->num_cpus(); ++cpu) {
-    const ThrottleController& logical = machine_->throttle(static_cast<int>(cpu));
+  const CpuTopology& topology = state.config().topology;
+  for (std::size_t cpu = 0; cpu < state.num_cpus(); ++cpu) {
+    const ThrottleController& logical = state.throttle(static_cast<int>(cpu));
     if (logical.demand_ticks() > 0) {
       result.throttled_fraction.push_back(logical.ThrottledFraction());
     } else {
@@ -128,14 +129,12 @@ RunResult Experiment::Run(const Workload& workload) {
       // package's halt fraction instead, consistent with what the hlt gate
       // actually did to this CPU.
       const std::size_t phys = topology.PhysicalOf(static_cast<int>(cpu));
-      result.throttled_fraction.push_back(
-          machine_->state().package_throttle(phys).ThrottledFraction());
+      result.throttled_fraction.push_back(state.package_throttle(phys).ThrottledFraction());
     }
   }
-  if (machine_->config().governed()) {
-    for (std::size_t cpu = 0; cpu < machine_->num_cpus(); ++cpu) {
-      const FrequencyDomain& domain =
-          machine_->state().freq_domain(topology.PhysicalOf(static_cast<int>(cpu)));
+  if (state.config().governed()) {
+    for (std::size_t cpu = 0; cpu < state.num_cpus(); ++cpu) {
+      const FrequencyDomain& domain = state.freq_domain(topology.PhysicalOf(static_cast<int>(cpu)));
       std::vector<double> residency;
       residency.reserve(domain.table().size());
       for (std::size_t p = 0; p < domain.table().size(); ++p) {
@@ -145,9 +144,9 @@ RunResult Experiment::Run(const Workload& workload) {
       result.average_frequency.push_back(domain.AverageFrequency());
     }
   }
-  if (machine_->config().faulted()) {
-    result.faults_fired = machine_->state().faults_fired();
-    result.offline_cpu_ticks = machine_->state().offline_cpu_ticks();
+  if (state.config().faulted()) {
+    result.faults_fired = state.faults_fired();
+    result.offline_cpu_ticks = state.offline_cpu_ticks();
   }
   return result;
 }

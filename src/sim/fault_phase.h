@@ -5,8 +5,7 @@
 // and mutates the state before any other phase sees the tick, so a fault's
 // effects - drained runqueue, raised temperature, clamped P-state - are
 // visible to the gate, governor and scheduler of the very tick it fires
-// on, identically in the interleaved and sharded pipelines (both run this
-// phase engine-sequentially before the package fan-out). All reactions are
+// on. All reactions are
 // deterministic: re-placement picks the least-loaded online CPU with a
 // lowest-id tie-break and never draws from the shared RNG stream, so a
 // fault plan perturbs the simulation only through its declared effects.
@@ -26,7 +25,6 @@
 #ifndef SRC_SIM_FAULT_PHASE_H_
 #define SRC_SIM_FAULT_PHASE_H_
 
-#include "src/base/annotations.h"
 #include "src/fault/fault_plan.h"
 #include "src/sim/simulation_state.h"
 
@@ -37,7 +35,7 @@ class FaultPhase {
   // Applies every event due at state.now(), restores expired ungoverned
   // clamps, and appends this tick's offline-CPU count to the ledger. Only
   // called when state.config().faulted().
-  EAS_CROSS_SHARD void Run(SimulationState& state) const;
+  void Run(SimulationState& state) const;
 
  private:
   void ApplyOffline(SimulationState& state, const FaultEvent& event) const;

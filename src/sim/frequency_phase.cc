@@ -28,7 +28,6 @@ void FrequencyPhase::EnsureGovernors(SimulationState& state) {
 void FrequencyPhase::GovernPackage(SimulationState& state, std::size_t physical,
                                    bool package_throttled) {
   if (!initialized_) {
-    // easlint: allow(shard-confinement) -- first-call lazy init: the package-parallel pipeline calls EnsureReady() from a single thread before fanning out, so inside the parallel region initialized_ is always true and this branch never runs.
     EnsureGovernors(state);
   }
   if (!active_) {

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/base/annotations.h"
 #include "src/freq/frequency_governor.h"
 #include "src/sim/simulation_state.h"
 
@@ -33,26 +32,13 @@ class FrequencyPhase {
   // std::invalid_argument on the first call if the configured governor name
   // is unknown (Machine's constructor validates earlier for a fail-fast
   // path).
-  EAS_SHARD_LOCAL void GovernPackage(SimulationState& state, std::size_t physical,
-                                     bool package_throttled);
-
-  // Forces the lazy governor construction now, from a single thread. The
-  // engine's package-parallel pipeline calls this before fanning out:
-  // GovernPackage's first-call initialization mutates shared phase state
-  // (the governor vector and the init flags) and must not race.
-  void EnsureReady(SimulationState& state) {
-    if (!initialized_) {
-      EnsureGovernors(state);
-    }
-  }
+  void GovernPackage(SimulationState& state, std::size_t physical, bool package_throttled);
 
  private:
   // Governors are created lazily on the first tick because the engine only
   // learns the machine (config and package count) from the state it is
-  // handed; one engine is paired with one state in practice. Cross-shard:
-  // mutates the phase-wide governor vector and init flags shared by every
-  // package.
-  EAS_CROSS_SHARD void EnsureGovernors(SimulationState& state);
+  // handed; one engine is paired with one state in practice.
+  void EnsureGovernors(SimulationState& state);
 
   bool initialized_ = false;
   bool active_ = false;

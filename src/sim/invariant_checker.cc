@@ -24,7 +24,7 @@ void InvariantChecker::OnTick(const SimulationState& state) {
   ++ticks_checked_;
 
   // Task conservation sweep: every queue member belongs to its queue, no
-  // task is double-counted, and the per-queue totals match the sharded
+  // task is double-counted, and the per-queue totals match the machine-wide
   // counter the skip-ahead planner trusts.
   seen_.assign(state.tasks().size() + 1, 0);
   std::int64_t members = 0;
@@ -64,7 +64,7 @@ void InvariantChecker::OnTick(const SimulationState& state) {
   }
   if (nr_running_sum != state.total_runnable()) {
     Violate(state, "sum of nr_running (" + std::to_string(nr_running_sum) +
-                       ") != sharded total_runnable (" + std::to_string(state.total_runnable()) +
+                       ") != total_runnable (" + std::to_string(state.total_runnable()) +
                        ")");
   }
 

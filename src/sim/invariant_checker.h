@@ -10,7 +10,7 @@
 //     task the table says is on a CPU is found exactly once;
 //   - offline confinement: no runqueue member sits on an offlined CPU;
 //   - counter consistency: the sum of per-queue nr_running equals the
-//     sharded total_runnable() the skip-ahead planner trusts;
+//     machine-wide total_runnable() the skip-ahead planner trusts;
 //   - offline ledger: the state's offline_cpu_ticks equals the checker's
 //     own per-tick accumulation of the offline-CPU count;
 //   - residency accounting: a governed package's P-state residency total

@@ -94,18 +94,10 @@ struct MachineConfig {
   // way, only wall-clock changes.
   bool skip_ahead = true;
 
-  // Intra-run worker threads for the package-parallel tick pipeline.
-  //  - 0 (default): the historical interleaved per-package loop, every
-  //    package's phases and lifecycle before the next package's - the
-  //    bit-exact seed behaviour every golden capture was taken against.
-  //  - >= 1: the sharded pipeline - all packages run their package-local
-  //    phases (gate, governor, switch-in, execute, sample, thermal step)
-  //    over `min(intra_run_threads, packages)` workers, then task lifecycle
-  //    runs sequentially in package order. Results are bit-identical for
-  //    every worker count >= 1 (package phases only touch their own
-  //    SimulationState shard; the reductions run in package order), but the
-  //    phase ordering across packages differs from mode 0, so the two modes
-  //    are distinct deterministic machines.
+  // Retired: the engine has one tick, the interleaved per-package loop, and
+  // no intra-run workers. The field is still declared only because the
+  // repository benchmark (perfbench/) reads it; SimulationState's
+  // constructor rejects any nonzero value.
   std::size_t intra_run_threads = 0;
 
   std::uint64_t seed = 42;

@@ -38,14 +38,6 @@ void BalancePhase::Run(SimulationState& state) {
 SimulationEngine::SimulationEngine(const EnergySchedConfig& sched) : balance_(sched) {}
 
 void SimulationEngine::Tick(SimulationState& state) {
-  if (state.config().intra_run_threads == 0) {
-    TickInterleaved(state);
-  } else {
-    TickSharded(state);
-  }
-}
-
-void SimulationEngine::TickInterleaved(SimulationState& state) {
   if (state.config().faulted()) {
     fault_.Run(state);
   }
@@ -64,71 +56,6 @@ void SimulationEngine::TickInterleaved(SimulationState& state) {
     const double true_dynamic = counter_sampler_.Sample(state, phys, active_, events_);
     thermal_stepper_.StepPackage(state, phys, active_.size(), true_dynamic);
     for (int cpu : active_) {
-      sched_tick_.HandleLifecycle(state, cpu);
-    }
-  }
-
-  balance_.Run(state);
-  state.AdvanceTick();
-
-  for (TickObserver* observer : observers_) {
-    observer->OnTick(state);
-  }
-}
-
-void SimulationEngine::EnsureShardedRuntime(SimulationState& state) {
-  const std::size_t physical = state.num_physical();
-  if (pool_ == nullptr) {
-    // More workers than packages would only idle; each worker needs its own
-    // sampler and event scratch.
-    std::size_t workers = state.config().intra_run_threads;
-    if (workers > physical) {
-      workers = physical;
-    }
-    pool_ = std::make_unique<PackageWorkerPool>(workers);
-    worker_samplers_.resize(pool_->num_workers());
-    worker_events_.resize(pool_->num_workers());
-  }
-  if (package_active_.size() < physical) {
-    package_active_.resize(physical);
-  }
-  // Governor construction happens here, on the calling thread, not lazily
-  // inside the fan-out.
-  frequency_.EnsureReady(state);
-}
-
-void SimulationEngine::TickSharded(SimulationState& state) {
-  if (state.config().faulted()) {
-    fault_.Run(state);
-  }
-  sched_tick_.SpawnArrivals(state);
-  sched_tick_.WakeSleepers(state);
-
-  EnsureShardedRuntime(state);
-
-  // Package-local phases: each package touches only its own shard (and the
-  // tasks its runqueues hold), so the packages are independent and the
-  // worker count cannot change any result.
-  const std::size_t physical = state.num_physical();
-  pool_->Run(physical, [&](std::size_t phys, std::size_t worker) {
-    const bool throttled = throttle_gate_.GatePackage(state, phys);
-    frequency_.GovernPackage(state, phys, throttled);
-    sched_tick_.SwitchInPackage(state, phys);
-    throttle_gate_.AccountCpuTicks(state, phys, throttled);
-    std::vector<int>& active = package_active_[phys];
-    std::vector<EventVector>& events = worker_events_[worker];
-    sched_tick_.SelectActive(state, phys, throttled, active);
-    sched_tick_.ExecuteActive(state, active, events,
-                              state.freq_domain(phys).frequency_multiplier());
-    const double true_dynamic = worker_samplers_[worker].Sample(state, phys, active, events);
-    thermal_stepper_.StepPackage(state, phys, active.size(), true_dynamic);
-  });
-
-  // Task lifecycle mutates cross-package state (respawn placement scans
-  // every runqueue, sleeps push the shared wake queue, period commits feed
-  // the shared binary registry), so it runs sequentially, in package order.
-  for (std::size_t phys = 0; phys < physical; ++phys) {
-    for (int cpu : package_active_[phys]) {
       sched_tick_.HandleLifecycle(state, cpu);
     }
   }

@@ -36,7 +36,6 @@
 #include "src/sim/counter_sampler.h"
 #include "src/sim/fault_phase.h"
 #include "src/sim/frequency_phase.h"
-#include "src/sim/package_worker_pool.h"
 #include "src/sim/sched_tick.h"
 #include "src/sim/simulation_state.h"
 #include "src/sim/thermal_stepper.h"
@@ -87,17 +86,9 @@ class SimulationEngine {
  public:
   explicit SimulationEngine(const EnergySchedConfig& sched);
 
-  // Advances `state` by one tick through the full pipeline. With
-  // config().intra_run_threads == 0 this is the historical interleaved
-  // per-package loop (phases 2a-2h complete for package p before package
-  // p+1 starts); with >= 1 it is the sharded pipeline: every package runs
-  // its package-local phases 2a-2g over the intra-run worker pool (each
-  // package touches only its own shard, so the fan-out is race-free), then
-  // the cross-package phase 2h (task lifecycle: sleeps, completions,
-  // respawn placement, registry commits) runs sequentially in package
-  // order. The sharded pipeline's results depend only on that fixed phase
-  // order, never on the worker count, so any counts >= 1 are bit-identical
-  // to one another.
+  // Advances `state` by one tick through the full pipeline: the interleaved
+  // per-package loop of the paper's kernel tick (phases 2a-2h complete for
+  // package p before package p+1 starts).
   void Tick(SimulationState& state);
 
   // Advances `state` by `ticks` ticks, end-state and trace bit-identical to
@@ -123,18 +114,6 @@ class SimulationEngine {
   const BalancePolicy& policy() const { return balance_.policy(); }
 
  private:
-  // The historical interleaved tick (intra_run_threads == 0).
-  void TickInterleaved(SimulationState& state);
-
-  // The package-parallel tick (intra_run_threads >= 1): package-local
-  // phases over the worker pool, then sequential lifecycle and balancing.
-  void TickSharded(SimulationState& state);
-
-  // Builds the worker pool and the per-worker / per-package scratch for
-  // `state`'s machine on first use (and eagerly initializes the frequency
-  // governors, whose lazy construction is not safe inside the fan-out).
-  void EnsureShardedRuntime(SimulationState& state);
-
   // Integrates a quiescent span of `span` ticks in bulk (ungoverned,
   // throttling disabled). Does not invoke observers.
   void RunQuiescentSpanFast(SimulationState& state, eas::Tick span);
@@ -156,16 +135,6 @@ class SimulationEngine {
   // Per-tick scratch, reused across packages to avoid reallocation.
   std::vector<int> active_;
   std::vector<EventVector> events_;
-
-  // Sharded-pipeline runtime, built on the first sharded tick. The active
-  // lists are per package (they outlive the fan-out: the sequential
-  // lifecycle phase replays them in package order); the samplers and event
-  // scratch are per worker (CounterSampler keeps a reusable mask, and event
-  // vectors are plain scratch, so one instance per concurrent caller).
-  std::unique_ptr<PackageWorkerPool> pool_;
-  std::vector<std::vector<int>> package_active_;
-  std::vector<CounterSampler> worker_samplers_;
-  std::vector<std::vector<EventVector>> worker_events_;
 };
 
 }  // namespace eas

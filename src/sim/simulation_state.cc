@@ -12,6 +12,11 @@ SimulationState::SimulationState(const MachineConfig& config)
     : config_(config),
       domains_(DomainHierarchy::Build(config.topology)),
       rng_(config.seed) {
+  if (config_.intra_run_threads != 0) {
+    throw std::invalid_argument(
+        "MachineConfig::intra_run_threads is retired: the sharded package-parallel tick was "
+        "removed, so it must be 0");
+  }
   const std::size_t logical = config_.topology.num_logical();
   const std::size_t physical = config_.topology.num_physical();
   const std::size_t siblings = config_.topology.smt_per_physical();
@@ -47,8 +52,8 @@ SimulationState::SimulationState(const MachineConfig& config)
   }
 
   // One shard per package. Reserved up front: the shards never move, so the
-  // flat per-logical pointer tables below (and the runnable-counter pointer
-  // each runqueue holds into its shard) stay valid for the state's lifetime.
+  // flat per-logical pointer tables below stay valid for the state's
+  // lifetime.
   shards_.reserve(physical);
   for (std::size_t phys = 0; phys < physical; ++phys) {
     shards_.emplace_back(config_.cooling.ParamsFor(phys), config_.pstates,
@@ -61,7 +66,7 @@ SimulationState::SimulationState(const MachineConfig& config)
     for (std::size_t t = 0; t < siblings; ++t) {
       const int cpu = config_.topology.LogicalId(phys, t);
       shard.runqueues.emplace_back(cpu);
-      shard.runqueues.back().AttachRunnableCounter(&shard.runnable);
+      shard.runqueues.back().AttachRunnableCounter(&runnable_);
       shard.counters.emplace_back();
       shard.power_states.emplace_back(max_power_logical_[static_cast<std::size_t>(cpu)],
                                       config_.cooling.ParamsFor(phys).TimeConstant(),

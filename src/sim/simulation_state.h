@@ -11,18 +11,12 @@
 // by the SimulationEngine; state-owned helpers here are the primitives more
 // than one phase needs (placement, period commit, migration).
 //
-// Shard ownership (the cluster-scale contract): all per-CPU and per-package
-// mutable state lives in one PackageShard per physical package. During the
+// Data layout (the cluster-scale contract): all per-CPU and per-package
+// mutable state lives in one PackageShard per physical package, so the
 // engine's package phase loop - gate, governor, switch-in, tick accounting,
-// execute, counter sampling, thermal step - a package's phases read and
-// write only its own shard (plus the hot-column rows of tasks currently on
-// its runqueues, which exactly one package holds at a time), so the loop
-// parallelizes across packages with no cross-shard writes. Everything
-// cross-package - arrivals, wakeups, task lifecycle, balancing, the skip-
-// ahead quiescent kernels - runs sequentially in package order. The
-// machine-wide runnable count is a per-shard counter summed on read, which
-// is what lets runqueues keep their lock-free increment inside the parallel
-// region and still feed the skip-ahead planner's quiescence test.
+// execute, counter sampling, thermal step - walks one package's state
+// contiguously. Every runqueue feeds one machine-wide runnable counter, the
+// skip-ahead planner's quiescence test.
 
 #ifndef SRC_SIM_SIMULATION_STATE_H_
 #define SRC_SIM_SIMULATION_STATE_H_
@@ -33,7 +27,6 @@
 #include <memory_resource>
 #include <vector>
 
-#include "src/base/annotations.h"
 #include "src/core/initial_placement.h"
 #include "src/fault/fault_plan.h"
 #include "src/core/power_metrics.h"
@@ -52,8 +45,8 @@ namespace eas {
 // loop. `runqueues[t]` etc. are indexed by the SMT thread slot; the flat
 // per-logical tables in SimulationState map `cpu -> &shard(cpu % P).x[cpu / P]`
 // so the hot accessors stay one load. The shard vector is reserved up front
-// and shards never move, so those pointers (and the runnable-counter pointer
-// each runqueue holds into its shard) stay valid for the state's lifetime.
+// and shards never move, so those pointers stay valid for the state's
+// lifetime.
 struct PackageShard {
   PackageShard(const ThermalParams& params, const PStateTable& pstates,
                double throttle_hysteresis_watts, double halt_power)
@@ -70,10 +63,6 @@ struct PackageShard {
   RcThermalModel thermal;
   FrequencyDomain freq_domain;
   double last_true_power;
-  // This shard's share of the machine-wide nr_running; the shard's
-  // runqueues point here, so parallel package phases never contend on a
-  // global counter.
-  std::int64_t runnable = 0;
 };
 
 class SimulationState : public BalanceEnv {
@@ -81,7 +70,7 @@ class SimulationState : public BalanceEnv {
   explicit SimulationState(const MachineConfig& config);
   ~SimulationState() override;
 
-  // Runqueues point at their shard's runnable counter and tasks live in the
+  // Runqueues point at the state's runnable counter and tasks live in the
   // arena; the state is pinned in place for its lifetime.
   SimulationState(const SimulationState&) = delete;
   SimulationState& operator=(const SimulationState&) = delete;
@@ -89,16 +78,16 @@ class SimulationState : public BalanceEnv {
   // --- BalanceEnv -----------------------------------------------------------
   const CpuTopology& topology() const override { return config_.topology; }
   const DomainHierarchy& domains() const override { return domains_; }
-  EAS_SHARD_LOCAL Runqueue& runqueue(int cpu) override {
+  Runqueue& runqueue(int cpu) override {
     return *runqueue_by_cpu_[static_cast<std::size_t>(cpu)];
   }
-  EAS_SHARD_LOCAL const Runqueue& runqueue(int cpu) const override {
+  const Runqueue& runqueue(int cpu) const override {
     return *runqueue_by_cpu_[static_cast<std::size_t>(cpu)];
   }
-  EAS_SHARD_LOCAL double RunqueuePower(int cpu) const override;
-  EAS_SHARD_LOCAL double ThermalPower(int cpu) const override;
-  EAS_SHARD_LOCAL double MaxPower(int cpu) const override;
-  EAS_CROSS_SHARD bool MigrateTask(Task* task, int from, int to) override;
+  double RunqueuePower(int cpu) const override;
+  double ThermalPower(int cpu) const override;
+  double MaxPower(int cpu) const override;
+  bool MigrateTask(Task* task, int from, int to) override;
   bool CpuOnline(int cpu) const override {
     return cpu_online_[static_cast<std::size_t>(cpu)] != 0;
   }
@@ -115,19 +104,19 @@ class SimulationState : public BalanceEnv {
 
   // Creates a task running `program` and places it (energy-aware placement
   // if enabled, least-loaded otherwise).
-  EAS_CROSS_SHARD Task* Spawn(const Program& program, int nice);
+  Task* Spawn(const Program& program, int nice);
 
   // Placement for a (re)spawned task per the configured policy: energy-aware
   // placement seeds the profile from the binary registry; the baseline picks
   // the least loaded CPU with random tie-break and leaves the profile alone.
-  EAS_CROSS_SHARD int PlaceTask(Task& task);
+  int PlaceTask(Task& task);
 
   // Ends the current accounting period of `task` and feeds the binary
   // registry on the task's first committed period.
-  EAS_CROSS_SHARD void CommitPeriod(Task& task);
+  void CommitPeriod(Task& task);
 
   // If `cpu` has no current task, switches in the next queued one.
-  EAS_SHARD_LOCAL void SwitchInIfIdle(int cpu);
+  void SwitchInIfIdle(int cpu);
 
   // --- event queues (the tick hot path) -------------------------------------
   //
@@ -138,85 +127,76 @@ class SimulationState : public BalanceEnv {
   // Puts `task` (already detached from its runqueue) to sleep for `duration`
   // ticks and schedules its wakeup. The wake queue is the only wake
   // mechanism: a task made kSleeping without going through here never wakes.
-  EAS_CROSS_SHARD void StartSleep(Task& task, Tick duration);
+  void StartSleep(Task& task, Tick duration);
 
   // Schedules `program` to be spawned with `nice` at the start of `tick`
   // (before that tick's wakeups). Insertion order breaks ties.
-  EAS_CROSS_SHARD void ScheduleArrival(const Program& program, int nice, Tick tick);
+  void ScheduleArrival(const Program& program, int nice, Tick tick);
 
   // Drops arrivals that have not fired yet (end of an experiment run: a
   // leftover arrival must not leak into a later run on the same machine).
-  EAS_CROSS_SHARD void ClearPendingArrivals();
+  void ClearPendingArrivals();
 
   struct PendingArrival {
     const Program* program = nullptr;
     int nice = 0;
   };
-  EAS_CROSS_SHARD TickEventQueue<Task*>& wake_queue() { return wake_queue_; }
-  EAS_CROSS_SHARD const TickEventQueue<Task*>& wake_queue() const { return wake_queue_; }
-  EAS_CROSS_SHARD TickEventQueue<PendingArrival>& arrival_queue() { return arrival_queue_; }
-  EAS_CROSS_SHARD const TickEventQueue<PendingArrival>& arrival_queue() const {
+  TickEventQueue<Task*>& wake_queue() { return wake_queue_; }
+  const TickEventQueue<Task*>& wake_queue() const { return wake_queue_; }
+  TickEventQueue<PendingArrival>& arrival_queue() { return arrival_queue_; }
+  const TickEventQueue<PendingArrival>& arrival_queue() const {
     return arrival_queue_;
   }
 
-  // Machine-wide nr_running: the sum of the per-shard counters the
-  // runqueues maintain incrementally. The skip-ahead planner's quiescence
-  // test: zero means no task is runnable or running anywhere, so ticks are
-  // pure idle physics until the next wake or arrival.
-  EAS_CROSS_SHARD std::int64_t total_runnable() const {
-    std::int64_t total = 0;
-    for (const PackageShard& shard : shards_) {
-      total += shard.runnable;
-    }
-    return total;
-  }
+  // Machine-wide nr_running, maintained incrementally by every runqueue.
+  // The skip-ahead planner's quiescence test: zero means no task is
+  // runnable or running anywhere, so ticks are pure idle physics until the
+  // next wake or arrival.
+  std::int64_t total_runnable() const { return runnable_; }
 
   // --- fault injection (src/fault/fault_plan.h, applied by FaultPhase) ------
   //
   // The constructor parses config.fault_spec into the fault queue (throwing
   // std::invalid_argument on a malformed spec); the FaultPhase pops due
-  // events at the start of each tick and mutates the masks below. All of
-  // this is engine-sequential state: the phase runs before any parallel
-  // fan-out, and the package phases only *read* the masks for their own
-  // package.
+  // events at the start of each tick and mutates the masks below.
 
-  EAS_CROSS_SHARD TickEventQueue<FaultEvent>& fault_queue() { return fault_queue_; }
-  EAS_CROSS_SHARD const TickEventQueue<FaultEvent>& fault_queue() const { return fault_queue_; }
+  TickEventQueue<FaultEvent>& fault_queue() { return fault_queue_; }
+  const TickEventQueue<FaultEvent>& fault_queue() const { return fault_queue_; }
 
   // Flips a CPU's online bit, maintaining the per-package online-sibling
   // and machine-wide offline counts. No-op if the bit already matches.
-  EAS_CROSS_SHARD void SetCpuOnline(int cpu, bool online);
+  void SetCpuOnline(int cpu, bool online);
 
   // Online SMT siblings of a package (== smt_per_physical() when healthy).
-  EAS_SHARD_LOCAL std::int64_t online_siblings(std::size_t physical) const {
+  std::int64_t online_siblings(std::size_t physical) const {
     return online_siblings_[physical];
   }
   std::int64_t offline_cpu_count() const { return offline_cpus_; }
   // Ledger: sum over ticks of the offline-CPU count at each tick, appended
   // by FaultPhase after it applies the tick's events.
   std::int64_t offline_cpu_ticks() const { return offline_cpu_ticks_; }
-  EAS_CROSS_SHARD void AccountOfflineTicks() { offline_cpu_ticks_ += offline_cpus_; }
+  void AccountOfflineTicks() { offline_cpu_ticks_ += offline_cpus_; }
   std::int64_t faults_fired() const { return faults_fired_; }
-  EAS_CROSS_SHARD void NoteFaultFired() { ++faults_fired_; }
+  void NoteFaultFired() { ++faults_fired_; }
 
   // Thermal emergency: while active the governor is forced to the deepest
   // P-state (ungoverned machines halt through the gate's backstop).
-  EAS_SHARD_LOCAL bool EmergencyActive(std::size_t physical) const {
+  bool EmergencyActive(std::size_t physical) const {
     return now_ < emergency_until_[physical];
   }
-  EAS_CROSS_SHARD void RaiseEmergency(std::size_t physical, Tick until) {
+  void RaiseEmergency(std::size_t physical, Tick until) {
     emergency_until_[physical] = std::max(emergency_until_[physical], until);
   }
 
   // P-state clamp: while active the package's P-state index may not drop
   // below the floor (deeper = higher index = slower is always allowed).
-  EAS_SHARD_LOCAL bool ClampActive(std::size_t physical) const {
+  bool ClampActive(std::size_t physical) const {
     return now_ < clamp_until_[physical];
   }
-  EAS_SHARD_LOCAL std::size_t clamp_floor(std::size_t physical) const {
+  std::size_t clamp_floor(std::size_t physical) const {
     return clamp_floor_[physical];
   }
-  EAS_CROSS_SHARD void SetClamp(std::size_t physical, std::size_t floor, Tick until) {
+  void SetClamp(std::size_t physical, std::size_t floor, Tick until) {
     clamp_floor_[physical] = floor;
     clamp_until_[physical] = std::max(clamp_until_[physical], until);
   }
@@ -225,90 +205,87 @@ class SimulationState : public BalanceEnv {
   // clamp window open, and (ungoverned) every domain back at P0. The
   // skip-ahead planner requires this before entering a quiescent span, so
   // the reduced kernels never have to model offline physics.
-  EAS_CROSS_SHARD bool FaultQuiescent() const;
+  bool FaultQuiescent() const;
 
   // Least-loaded online CPU other than `excluding` (lowest id breaks ties -
   // deterministic, no RNG draw: fault reactions must not perturb the shared
   // stream). Returns `excluding` itself only if no other CPU is online,
   // which the FaultPhase's last-CPU guard prevents.
-  EAS_CROSS_SHARD int PickOnlineFallback(int excluding) const;
+  int PickOnlineFallback(int excluding) const;
 
   // --- derived quantities ---------------------------------------------------
   std::size_t num_cpus() const { return config_.topology.num_logical(); }
   std::size_t num_physical() const { return config_.topology.num_physical(); }
   double IdlePowerPerLogical() const;
-  EAS_SHARD_LOCAL double MaxPowerPhysical(std::size_t physical) const;
+  double MaxPowerPhysical(std::size_t physical) const;
 
   // Sum of the sibling thermal powers of a package - the quantity both the
   // hlt ThrottleGate and the frequency governors compare against the
   // package budget (one definition, so the two mechanisms cannot drift).
-  EAS_SHARD_LOCAL double PackageThermalPower(std::size_t physical) const;
-  EAS_SHARD_LOCAL double Temperature(std::size_t physical) const {
+  double PackageThermalPower(std::size_t physical) const;
+  double Temperature(std::size_t physical) const {
     return shards_[physical].thermal.temperature();
   }
-  EAS_SHARD_LOCAL double TruePower(std::size_t physical) const {
+  double TruePower(std::size_t physical) const {
     return shards_[physical].last_true_power;
   }
-  EAS_CROSS_SHARD double TotalWorkDone() const;
-  EAS_CROSS_SHARD std::int64_t TotalCompletions() const;
-  EAS_CROSS_SHARD double TotalTaskEnergy() const;
+  double TotalWorkDone() const;
+  std::int64_t TotalCompletions() const;
+  double TotalTaskEnergy() const;
 
   // Logical CPU a task occupies, or kInvalidCpu if sleeping/finished.
   static int TaskCpu(const Task& task);
 
   // --- raw state (the phase components work on these) -----------------------
   const MachineConfig& config() const { return config_; }
-  // The engine's sequential sections own the clock and the shared RNG
-  // stream: one draw from a parallel phase would make the stream's order
-  // depend on worker interleaving.
-  EAS_CROSS_SHARD Rng& rng() { return rng_; }
+  Rng& rng() { return rng_; }
   Tick now() const { return now_; }
-  EAS_CROSS_SHARD void AdvanceTick() { ++now_; }
+  void AdvanceTick() { ++now_; }
   // Clock jump for the skip-ahead fast path, after the span's state updates
   // have been integrated in bulk.
-  EAS_CROSS_SHARD void AdvanceTicks(Tick n) { now_ += n; }
+  void AdvanceTicks(Tick n) { now_ += n; }
 
-  EAS_SHARD_LOCAL CounterBlock& counters(int cpu) {
+  CounterBlock& counters(int cpu) {
     return *counter_by_cpu_[static_cast<std::size_t>(cpu)];
   }
-  EAS_SHARD_LOCAL CpuPowerState& power_state(int cpu) {
+  CpuPowerState& power_state(int cpu) {
     return *power_state_by_cpu_[static_cast<std::size_t>(cpu)];
   }
-  EAS_SHARD_LOCAL ThrottleController& throttle(int cpu) {
+  ThrottleController& throttle(int cpu) {
     return *throttle_by_cpu_[static_cast<std::size_t>(cpu)];
   }
-  EAS_SHARD_LOCAL const ThrottleController& throttle(int cpu) const {
+  const ThrottleController& throttle(int cpu) const {
     return *throttle_by_cpu_[static_cast<std::size_t>(cpu)];
   }
-  EAS_SHARD_LOCAL ThrottleController& package_throttle(std::size_t physical) {
+  ThrottleController& package_throttle(std::size_t physical) {
     return shards_[physical].package_throttle;
   }
-  EAS_SHARD_LOCAL const ThrottleController& package_throttle(std::size_t physical) const {
+  const ThrottleController& package_throttle(std::size_t physical) const {
     return shards_[physical].package_throttle;
   }
-  EAS_SHARD_LOCAL RcThermalModel& thermal(std::size_t physical) {
+  RcThermalModel& thermal(std::size_t physical) {
     return shards_[physical].thermal;
   }
-  EAS_SHARD_LOCAL FrequencyDomain& freq_domain(std::size_t physical) {
+  FrequencyDomain& freq_domain(std::size_t physical) {
     return shards_[physical].freq_domain;
   }
-  EAS_SHARD_LOCAL const FrequencyDomain& freq_domain(std::size_t physical) const {
+  const FrequencyDomain& freq_domain(std::size_t physical) const {
     return shards_[physical].freq_domain;
   }
-  EAS_SHARD_LOCAL void set_true_power(std::size_t physical, double watts) {
+  void set_true_power(std::size_t physical, double watts) {
     shards_[physical].last_true_power = watts;
   }
 
-  EAS_SHARD_LOCAL PackageShard& shard(std::size_t physical) { return shards_[physical]; }
-  EAS_SHARD_LOCAL const PackageShard& shard(std::size_t physical) const {
+  PackageShard& shard(std::size_t physical) { return shards_[physical]; }
+  const PackageShard& shard(std::size_t physical) const {
     return shards_[physical];
   }
 
   const std::vector<Task*>& tasks() const { return tasks_; }
   Task* task(std::size_t i) { return tasks_[i]; }
 
-  EAS_CROSS_SHARD const BinaryRegistry& binary_registry() const { return registry_; }
-  EAS_CROSS_SHARD BinaryRegistry& binary_registry() { return registry_; }
+  const BinaryRegistry& binary_registry() const { return registry_; }
+  BinaryRegistry& binary_registry() { return registry_; }
   const EnergyEstimator& estimator() const { return *estimator_; }
 
  private:
@@ -335,17 +312,17 @@ class SimulationState : public BalanceEnv {
 
   // Task storage: objects are placement-new'd into a monotonic arena (one
   // bump allocation per spawn, freed wholesale when the state dies) and the
-  // per-tick hot fields live in the struct-of-arrays columns. The columns
-  // are shared across shards, but a row is only ever touched by the package
-  // whose runqueue currently holds the task, so parallel package phases
-  // write disjoint rows. The destructor runs each task's destructor
-  // explicitly; the arena then releases the memory in one shot.
+  // per-tick hot fields live in the struct-of-arrays columns. The destructor
+  // runs each task's destructor explicitly; the arena then releases the
+  // memory in one shot.
   std::pmr::monotonic_buffer_resource task_arena_;
   TaskHotColumns hot_;
   std::vector<Task*> tasks_;
   TaskId next_task_id_ = 1;
   Tick now_ = 0;
   std::int64_t migration_count_ = 0;
+  // Machine-wide nr_running; every runqueue holds a pointer to it.
+  std::int64_t runnable_ = 0;
 
   // (wake_tick, task_id)-keyed sleeper wakeups; task-id tie-break reproduces
   // the task-table scan order this queue replaced.

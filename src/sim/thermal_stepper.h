@@ -6,7 +6,6 @@
 
 #include <cstddef>
 
-#include "src/base/annotations.h"
 #include "src/sim/simulation_state.h"
 
 namespace eas {
@@ -16,8 +15,8 @@ class ThermalStepper {
   // Computes the true electrical power of `physical` from the number of
   // active siblings and the tick's true dynamic energy, records it, and
   // advances the package's RC model by one tick.
-  EAS_SHARD_LOCAL void StepPackage(SimulationState& state, std::size_t physical,
-                                   std::size_t active_count, double true_dynamic) const;
+  void StepPackage(SimulationState& state, std::size_t physical,
+                   std::size_t active_count, double true_dynamic) const;
 };
 
 }  // namespace eas

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 
-#include "src/base/annotations.h"
 #include "src/sim/simulation_state.h"
 
 namespace eas {
@@ -21,12 +20,12 @@ class ThrottleGate {
  public:
   // The package-level halt decision for this tick; always false (and no
   // statistics are recorded) when throttling is disabled.
-  EAS_SHARD_LOCAL bool GatePackage(SimulationState& state, std::size_t physical) const;
+  bool GatePackage(SimulationState& state, std::size_t physical) const;
 
   // Records this tick in the per-logical throttle statistics. Must run after
   // the scheduler's switch-in so "had a task to run" is well defined.
-  EAS_SHARD_LOCAL void AccountCpuTicks(SimulationState& state, std::size_t physical,
-                                       bool throttled) const;
+  void AccountCpuTicks(SimulationState& state, std::size_t physical,
+                       bool throttled) const;
 };
 
 }  // namespace eas

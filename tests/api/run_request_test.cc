@@ -52,7 +52,6 @@ TEST(RunRequestParseTest, ParsesEveryKey) {
       "throttle = true\n"
       "faults = off:1@5,on:1@9\n"
       "skip-ahead = off\n"
-      "intra-threads = 4\n"
       "seed = 7\n"
       "runs = 3\n");
   EXPECT_EQ(request.name, "my-run");
@@ -67,7 +66,6 @@ TEST(RunRequestParseTest, ParsesEveryKey) {
   EXPECT_EQ(request.throttle, true);
   EXPECT_EQ(request.faults, "off:1@5,on:1@9");
   EXPECT_EQ(request.skip_ahead, false);
-  EXPECT_EQ(request.intra_threads, 4u);
   EXPECT_EQ(request.seed, 7u);
   EXPECT_EQ(request.runs, 3u);
   EXPECT_FALSE(request.workload.has_value());
@@ -90,6 +88,11 @@ TEST(RunRequestParseTest, RejectsUnknownKeyNamingIt) {
   EXPECT_NE(error.find("line 1"), std::string::npos) << error;
   EXPECT_NE(error.find("unknown key \"polcy\""), std::string::npos) << error;
   EXPECT_NE(error.find("policy"), std::string::npos) << error;  // lists the known keys
+
+  // The engine has a single tick pipeline, so there is no worker-count key.
+  const RequestError intra = ParseErr("intra-threads = 1\n");
+  EXPECT_EQ(intra.code, RequestErrorCode::kUnknownKey);
+  EXPECT_EQ(intra.key, "intra-threads");
 }
 
 TEST(RunRequestParseTest, ErrorsCarryCodeKeyAndLine) {
@@ -135,10 +138,6 @@ TEST(RunRequestParseTest, RejectsBadValuesNamingLineAndKey) {
   EXPECT_NE(ParseError("throttle = maybe\n").find("bad value for throttle"),
             std::string::npos);
   EXPECT_NE(ParseError("skip-ahead = bananas\n").find("bad value for skip-ahead"),
-            std::string::npos);
-  EXPECT_NE(ParseError("intra-threads = -1\n").find("bad value for intra-threads"),
-            std::string::npos);
-  EXPECT_NE(ParseError("intra-threads = 2.5\n").find("bad value for intra-threads"),
             std::string::npos);
   EXPECT_NE(ParseError("scenario = a\nmax-power = x\n").find("line 2"), std::string::npos);
 }
@@ -229,7 +228,6 @@ TEST(RunRequestFormatTest, FormatParseIsIdentity) {
   request.duration_s = 12.5;
   request.throttle = false;
   request.skip_ahead = false;
-  request.intra_threads = 2;
   request.seed = 11;
   request.runs = 4;
   const std::string text = FormatRunRequest(request);
@@ -319,26 +317,6 @@ TEST(RunRequestResolveTest, SkipAheadFlowsIntoTheMachineConfig) {
   const auto disabled = ResolveRunRequest(request);
   ASSERT_TRUE(disabled.ok()) << disabled.error().Render();
   EXPECT_FALSE(disabled->specs[0].config.skip_ahead);
-}
-
-TEST(RunRequestResolveTest, IntraThreadsFlowsIntoTheMachineConfig) {
-  // Unset: the historical interleaved loop (0). Explicit: the sharded
-  // pipeline with that worker count, including over a scenario.
-  const auto defaulted = ResolveRunRequest(RunRequest{});
-  ASSERT_TRUE(defaulted.ok()) << defaulted.error().Render();
-  EXPECT_EQ(defaulted->specs[0].config.intra_run_threads, 0u);
-
-  RunRequest request;
-  request.intra_threads = 3;
-  const auto sharded = ResolveRunRequest(request);
-  ASSERT_TRUE(sharded.ok()) << sharded.error().Render();
-  EXPECT_EQ(sharded->specs[0].config.intra_run_threads, 3u);
-
-  RunRequest scenario = RunRequestForScenario("datacenter-consolidation");
-  scenario.intra_threads = 2;
-  const auto over_scenario = ResolveRunRequest(scenario);
-  ASSERT_TRUE(over_scenario.ok()) << over_scenario.error().Render();
-  EXPECT_EQ(over_scenario->specs[0].config.intra_run_threads, 2u);
 }
 
 TEST(RunRequestResolveTest, FaultsFlowIntoTheMachineConfig) {

@@ -114,7 +114,7 @@ TEST(PolicyRegistryTest, RuntimePolicySelectableByString) {
   machine.Spawn(library.bitcnts());
   machine.Spawn(library.memrw());
   machine.Run(10'000);
-  EXPECT_EQ(machine.migration_count(), 0);
+  EXPECT_EQ(machine.state().migration_count(), 0);
 }
 
 

@@ -1,8 +1,8 @@
 // Fault injection end to end: the FaultPhase's reactions (drain/re-place,
 // emergency stepdown, hlt backstop, clamp floors), the offline tick ledger,
 // the InvariantChecker's conservation sweep, and the determinism contracts
-// (bit-identical across intra-worker counts and skip-ahead settings; a
-// never-firing plan changes nothing but the fault columns).
+// (bit-identical across skip-ahead settings; a never-firing plan changes
+// nothing but the fault columns).
 
 #include <stdexcept>
 #include <string>
@@ -105,13 +105,13 @@ TEST_F(FaultInjectionTest, ThermalSpikeForcesTheGovernorToTheDeepestPState) {
   config.fault_spec = "spike:0@50:15:200";
   Machine machine(config);
   machine.Spawn(library_.memrw());  // light load: the governor would sit at P0
-  const double before = machine.Temperature(0);
+  const double before = machine.state().Temperature(0);
   machine.Run(100);  // now = 100, inside the emergency window [50, 250)
 
   const SimulationState& state = machine.state();
   EXPECT_TRUE(state.EmergencyActive(0));
   EXPECT_EQ(state.freq_domain(0).current(), state.freq_domain(0).table().deepest());
-  EXPECT_GT(machine.Temperature(0), before);
+  EXPECT_GT(machine.state().Temperature(0), before);
   // The other package is untouched.
   EXPECT_FALSE(state.EmergencyActive(1));
 
@@ -191,7 +191,7 @@ TEST_F(FaultInjectionTest, InvariantCheckerThrowsOnACorruptedQueue) {
 
 // --- determinism contracts ---------------------------------------------------
 
-RunResult RunChaos(std::size_t intra_threads, bool skip_ahead, const std::string& faults) {
+RunResult RunChaos(bool skip_ahead, const std::string& faults) {
   MachineConfig config;
   config.topology = CpuTopology(1, 2, 2);  // 2 packages, SMT: 4 logical CPUs
   ThermalParams params;
@@ -202,7 +202,6 @@ RunResult RunChaos(std::size_t intra_threads, bool skip_ahead, const std::string
   config.sched = EnergySchedConfig::EnergyAware();
   config.estimator_weights = EnergyModel::Default().weights();
   config.frequency_governor = "thermal-stepdown";
-  config.intra_run_threads = intra_threads;
   config.skip_ahead = skip_ahead;
   config.fault_spec = faults;
 
@@ -221,7 +220,7 @@ RunResult RunChaos(std::size_t intra_threads, bool skip_ahead, const std::string
 
 void ExpectBitIdentical(const RunResult& a, const RunResult& b, const std::string& label) {
   // Bitwise equality, not near-equality: the fault layer promises identical
-  // results for every worker count and skip-ahead setting.
+  // results for either skip-ahead setting.
   EXPECT_EQ(a.work_done_ticks, b.work_done_ticks) << label;
   EXPECT_EQ(a.migrations, b.migrations) << label;
   EXPECT_EQ(a.completions, b.completions) << label;
@@ -241,23 +240,20 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b, const std::strin
   }
 }
 
-TEST_F(FaultInjectionTest, ChaosIsBitIdenticalAcrossIntraWorkersAndSkipAhead) {
+TEST_F(FaultInjectionTest, ChaosIsBitIdenticalAcrossSkipAhead) {
   const std::string faults = "churn:4@3000:17,spike:0@400:12:600,clamp:1@900:2:800,off:3@200,on:3@1200";
-  const RunResult base = RunChaos(0, /*skip_ahead=*/true, faults);
+  const RunResult base = RunChaos(/*skip_ahead=*/true, faults);
   ASSERT_TRUE(base.faults_fired.has_value());
   EXPECT_GT(*base.faults_fired, 0);
-  ExpectBitIdentical(base, RunChaos(1, true, faults), "intra 1");
-  ExpectBitIdentical(base, RunChaos(3, true, faults), "intra 3");
-  ExpectBitIdentical(base, RunChaos(0, false, faults), "skip-ahead off");
-  ExpectBitIdentical(base, RunChaos(3, false, faults), "intra 3, skip-ahead off");
+  ExpectBitIdentical(base, RunChaos(false, faults), "skip-ahead off");
 }
 
 TEST_F(FaultInjectionTest, NeverFiringPlanChangesNothingButTheFaultColumns) {
   // A plan whose only event sits past the horizon arms the fault machinery
   // (slow tick path, queue bounds on skip spans) but must not change one
   // bit of the physics or scheduling results.
-  const RunResult faulted = RunChaos(0, true, "off:1@50000000");
-  const RunResult clean = RunChaos(0, true, "");
+  const RunResult faulted = RunChaos(true, "off:1@50000000");
+  const RunResult clean = RunChaos(true, "");
   EXPECT_EQ(faulted.work_done_ticks, clean.work_done_ticks);
   EXPECT_EQ(faulted.migrations, clean.migrations);
   EXPECT_EQ(faulted.completions, clean.completions);

@@ -136,6 +136,25 @@ TEST(FaultPlanTest, RejectsMalformedSpecsNamingTheClause) {
   MustFail("churn:3@1:7");                                                     // horizon >= 2
 }
 
+TEST(FaultPlanTest, ChurnPairCountIsBounded) {
+  // The bound is checked before a single event is generated, so a
+  // ten-million-pair spec is rejected at once instead of spending seconds
+  // and gigabytes expanding.
+  const std::string huge = MustFail("churn:10000000@100:1");
+  EXPECT_NE(huge.find("churn:10000000@100:1"), std::string::npos) << huge;
+  EXPECT_NE(huge.find(std::to_string(kMaxChurnPairs)), std::string::npos) << huge;
+
+  // The bound covers the plan's churn clauses together.
+  const std::string half = std::to_string(kMaxChurnPairs / 2 + 1);
+  MustFail("churn:" + half + "@100:1,churn:" + half + "@100:2");
+
+  std::string error;
+  const auto at_limit =
+      ParseFaultPlan("churn:" + std::to_string(kMaxChurnPairs) + "@100:1", SmallTopology(), &error);
+  ASSERT_TRUE(at_limit.has_value()) << error;
+  EXPECT_EQ(at_limit->events.size(), static_cast<std::size_t>(2 * kMaxChurnPairs));
+}
+
 TEST(FaultPlanTest, GrammarDocumentsEveryClauseKind) {
   const std::string grammar = FaultPlanGrammar();
   for (const char* kind : {"off:", "on:", "spike:", "clamp:", "churn:", "none"}) {

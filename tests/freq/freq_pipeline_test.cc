@@ -92,9 +92,9 @@ TEST(FreqPipelineTest, ThermalStepdownScalesProgressAndEnergy) {
   baseline.Run(20'000);
   dvfs.Run(20'000);
 
-  EXPECT_LT(dvfs.TotalWorkDone(), baseline.TotalWorkDone());
-  EXPECT_LT(dvfs.TotalTaskEnergy(), baseline.TotalTaskEnergy());
-  for (std::size_t phys = 0; phys < dvfs.num_physical(); ++phys) {
+  EXPECT_LT(dvfs.state().TotalWorkDone(), baseline.state().TotalWorkDone());
+  EXPECT_LT(dvfs.state().TotalTaskEnergy(), baseline.state().TotalTaskEnergy());
+  for (std::size_t phys = 0; phys < dvfs.state().num_physical(); ++phys) {
     const FrequencyDomain& domain = dvfs.state().freq_domain(phys);
     EXPECT_EQ(domain.total_ticks(), 20'000) << phys;
     EXPECT_LT(domain.AverageFrequency(), 1.0) << phys;

@@ -87,7 +87,7 @@ TEST_P(ThrottleDutyProperty, DutyCycleMatchesAnalytic) {
   machine.Run(240'000);  // 4 minutes >> tau
 
   const double expected = (61.0 - limit) / (61.0 - 13.6);
-  EXPECT_NEAR(machine.throttle(0).ThrottledFraction(), expected, 0.05) << "limit " << limit;
+  EXPECT_NEAR(machine.state().throttle(0).ThrottledFraction(), expected, 0.05) << "limit " << limit;
 }
 
 INSTANTIATE_TEST_SUITE_P(Limits, ThrottleDutyProperty,
@@ -119,7 +119,7 @@ TEST_P(MigrationCadenceProperty, HopIntervalMatchesAnalytic) {
   int last_cpu = task->cpu();
   for (Tick t = 0; t < 150'000; ++t) {
     machine.Step();
-    const int cpu = Machine::TaskCpu(*task);
+    const int cpu = SimulationState::TaskCpu(*task);
     if (cpu >= 0 && cpu != last_cpu) {
       hop_times.push_back(t);
       last_cpu = cpu;

@@ -189,6 +189,27 @@ TEST(ExperimentServerTest, UnknownVerbsGetProtocolErrorsNotDisconnects) {
   EXPECT_EQ(line, "end");
 }
 
+TEST(ExperimentServerTest, OverLongLineGetsAnErrorAndCloses) {
+  const std::string socket_path = SocketPath("longline");
+  auto server = ExperimentServer::Start(QuickServer(socket_path));
+  ASSERT_TRUE(server.ok()) << server.error().Render();
+
+  auto fd = ConnectUnix(socket_path);
+  ASSERT_TRUE(fd.ok()) << fd.error().Render();
+  LineChannel channel(*fd);
+  // The server may close before taking the last bytes, so the write itself
+  // is allowed to fail; the reply is what matters.
+  channel.WriteLine("run " + std::string(LineChannel::kMaxLineBytes, 'x'));
+  std::string line;
+  ASSERT_TRUE(channel.ReadLine(&line));
+  ASSERT_EQ(line.rfind("err ", 0), 0u) << line;
+  const RequestError error = RequestErrorFromJson(line.substr(4));
+  EXPECT_EQ(error.code, RequestErrorCode::kProtocol);
+  EXPECT_NE(error.message.find(std::to_string(LineChannel::kMaxLineBytes)), std::string::npos)
+      << error.message;
+  EXPECT_FALSE(channel.ReadLine(&line)) << "connection still open: " << line;
+}
+
 TEST(ExperimentServerTest, ShutdownVerbDrainsAndStopsTheServer) {
   const std::string socket_path = SocketPath("shutdown");
   auto server = ExperimentServer::Start(QuickServer(socket_path));

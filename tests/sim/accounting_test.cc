@@ -24,8 +24,8 @@ TEST(AccountingTest, SmtSiblingAttributionSumsToPackagePower) {
   machine.Spawn(library.memrw());
   machine.Run(90'000);  // >> tau
 
-  const double sum = machine.ThermalPower(0) + machine.ThermalPower(1);
-  EXPECT_NEAR(sum, machine.TruePower(0), machine.TruePower(0) * 0.05);
+  const double sum = machine.state().ThermalPower(0) + machine.state().ThermalPower(1);
+  EXPECT_NEAR(sum, machine.state().TruePower(0), machine.state().TruePower(0) * 0.05);
 }
 
 TEST(AccountingTest, IdleSiblingGetsHaltShare) {
@@ -40,8 +40,8 @@ TEST(AccountingTest, IdleSiblingGetsHaltShare) {
   machine.Run(90'000);
   const int busy = task->cpu();
   const int idle = busy == 0 ? 1 : 0;
-  EXPECT_NEAR(machine.ThermalPower(idle), 6.8, 0.5);
-  EXPECT_GT(machine.ThermalPower(busy), 45.0);
+  EXPECT_NEAR(machine.state().ThermalPower(idle), 6.8, 0.5);
+  EXPECT_GT(machine.state().ThermalPower(busy), 45.0);
 }
 
 TEST(AccountingTest, SleepingTaskWakesOnSameCpu) {
@@ -97,8 +97,8 @@ TEST(AccountingTest, ThrottleStatsOnlyCountBlockedWork) {
   machine.Run(120'000);
   const int busy = task->cpu();
   const int idle = busy == 0 ? 1 : 0;
-  EXPECT_GT(machine.throttle(busy).ThrottledFraction(), 0.3);
-  EXPECT_DOUBLE_EQ(machine.throttle(idle).ThrottledFraction(), 0.0);
+  EXPECT_GT(machine.state().throttle(busy).ThrottledFraction(), 0.3);
+  EXPECT_DOUBLE_EQ(machine.state().throttle(idle).ThrottledFraction(), 0.0);
 }
 
 TEST(AccountingTest, TrueEnergyConservedAcrossIdleAndBusy) {
@@ -112,11 +112,11 @@ TEST(AccountingTest, TrueEnergyConservedAcrossIdleAndBusy) {
   const ProgramLibrary library(EnergyModel::Default());
   Task* task = machine.Spawn(library.aluadd());
   double idle_energy = 0.0;
-  const int busy_phys = static_cast<int>(machine.config().topology.PhysicalOf(task->cpu()));
+  const int busy_phys = static_cast<int>(machine.state().config().topology.PhysicalOf(task->cpu()));
   const std::size_t idle_phys = busy_phys == 0 ? 1 : 0;
   for (int i = 0; i < 1'000; ++i) {
     machine.Step();
-    idle_energy += machine.TruePower(idle_phys) * kTickSeconds;
+    idle_energy += machine.state().TruePower(idle_phys) * kTickSeconds;
   }
   EXPECT_NEAR(idle_energy, 13.6 * 1.0, 1e-6);
 }

@@ -43,18 +43,18 @@ TEST(ExperimentTest, SecondRunArrivalsAreRelativeToRunStart) {
   first.Add(library.bitcnts());
   first.Add(library.memrw(), /*tick=*/5'000);  // past the duration: never spawns
   experiment.Run(first);
-  EXPECT_EQ(experiment.machine().tasks().size(), 1u);
+  EXPECT_EQ(experiment.machine().state().tasks().size(), 1u);
 
   Workload second;
   second.Add(library.memrw(), /*tick=*/100);  // run-relative, not absolute
   experiment.Run(second);
   EXPECT_EQ(experiment.machine().now(), 2'000);
-  ASSERT_EQ(experiment.machine().tasks().size(), 2u);
+  ASSERT_EQ(experiment.machine().state().tasks().size(), 2u);
   // Spawned 100 ticks into the second run: it missed 1'100 of the 2'000
   // ticks the machine has seen, so its work is well short of a full-run
   // task's but clearly nonzero.
-  EXPECT_GT(experiment.machine().tasks()[1]->work_done_ticks(), 0.0);
-  EXPECT_LT(experiment.machine().tasks()[1]->work_done_ticks(), 901.0);
+  EXPECT_GT(experiment.machine().state().tasks()[1]->work_done_ticks(), 0.0);
+  EXPECT_LT(experiment.machine().state().tasks()[1]->work_done_ticks(), 901.0);
 }
 
 TEST(ExperimentTest, RecordsTaskCpuTraceWhenAsked) {
@@ -144,7 +144,7 @@ TEST(ExperimentTest, ZeroDemandCpuReportsPackageHaltFraction) {
   const RunResult result = experiment.Run({&library.bitcnts()});
 
   ASSERT_EQ(result.throttled_fraction.size(), 2u);
-  const int busy_cpu = SimulationState::TaskCpu(*experiment.machine().tasks()[0]);
+  const int busy_cpu = SimulationState::TaskCpu(*experiment.machine().state().tasks()[0]);
   ASSERT_GE(busy_cpu, 0);
   const int idle_cpu = 1 - busy_cpu;
   // The busy CPU's task was blocked every tick; the idle CPU reports the

@@ -28,8 +28,8 @@ TEST(MachineConfigTest, TempLimitDerivesMaxPower) {
   config.temp_limit = 38.0;
   Machine machine(config);
   // (38 - 22) / 0.3 = 53.33 W per package, one logical per package.
-  EXPECT_NEAR(machine.MaxPower(0), 16.0 / 0.3, 1e-9);
-  EXPECT_NEAR(machine.MaxPowerPhysical(0), 16.0 / 0.3, 1e-9);
+  EXPECT_NEAR(machine.state().MaxPower(0), 16.0 / 0.3, 1e-9);
+  EXPECT_NEAR(machine.state().MaxPowerPhysical(0), 16.0 / 0.3, 1e-9);
 }
 
 TEST(MachineConfigTest, SmtSplitsMaxPowerAcrossSiblings) {
@@ -38,11 +38,11 @@ TEST(MachineConfigTest, SmtSplitsMaxPowerAcrossSiblings) {
   config.cooling = CoolingProfile::Uniform(1, ThermalParams{});
   config.explicit_max_power_physical = 40.0;
   Machine machine(config);
-  EXPECT_NEAR(machine.MaxPower(0), 20.0, 1e-9);
-  EXPECT_NEAR(machine.MaxPower(1), 20.0, 1e-9);
-  EXPECT_NEAR(machine.MaxPowerPhysical(0), 40.0, 1e-9);
+  EXPECT_NEAR(machine.state().MaxPower(0), 20.0, 1e-9);
+  EXPECT_NEAR(machine.state().MaxPower(1), 20.0, 1e-9);
+  EXPECT_NEAR(machine.state().MaxPowerPhysical(0), 40.0, 1e-9);
   // Idle power also splits.
-  EXPECT_NEAR(machine.IdlePowerPerLogical(), 6.8, 1e-9);
+  EXPECT_NEAR(machine.state().IdlePowerPerLogical(), 6.8, 1e-9);
 }
 
 TEST(MachineConfigTest, SelfCalibrationPathWorks) {
@@ -67,7 +67,7 @@ TEST(MachineConfigTest, WarmupPenaltySlowsMigratedTask) {
   Task* task = machine.Spawn(library.bitcnts());
   machine.Run(10);
   const double before = task->work_done_ticks();
-  machine.MigrateTask(task, task->cpu(), 1 - task->cpu());
+  machine.state().MigrateTask(task, task->cpu(), 1 - task->cpu());
   machine.Run(50);
   // ~50 ticks at half speed (plus a switch-in tick).
   EXPECT_LT(task->work_done_ticks() - before, 32.0);
@@ -83,7 +83,7 @@ TEST(MachineConfigTest, CrossNodeWarmupIsLonger) {
   const ProgramLibrary library(EnergyModel::Default());
   Task* task = machine.Spawn(library.bitcnts());
   machine.Run(10);
-  machine.MigrateTask(task, task->cpu(), 1 - task->cpu());
+  machine.state().MigrateTask(task, task->cpu(), 1 - task->cpu());
   EXPECT_EQ(task->warmup_ticks_left(), config.warmup_ticks_cross_node);
   EXPECT_EQ(task->node_migrations(), 1);
 }
@@ -144,7 +144,7 @@ TEST(MachineConfigTest, ThrottleHysteresisWidensDutyCycle) {
     bool last = false;
     for (int i = 0; i < 120'000; ++i) {
       machine.Step();
-      const bool now = machine.PackageThrottled(0);
+      const bool now = machine.state().package_throttle(0).throttled();
       if (now != last) {
         ++flips;
       }
@@ -165,9 +165,9 @@ TEST(MachineConfigTest, NoRespawnRetiresTask) {
   machine.Run(1'000);
   EXPECT_EQ(task->state(), TaskState::kFinished);
   EXPECT_EQ(task->completions(), 0);
-  EXPECT_EQ(Machine::TaskCpu(*task), kInvalidCpu);
+  EXPECT_EQ(SimulationState::TaskCpu(*task), kInvalidCpu);
   // The CPU is free again.
-  EXPECT_TRUE(machine.runqueue(task->cpu()).Idle());
+  EXPECT_TRUE(machine.state().runqueue(task->cpu()).Idle());
 }
 
 TEST(MachineConfigTest, DeterministicAcrossRuns) {
@@ -178,7 +178,7 @@ TEST(MachineConfigTest, DeterministicAcrossRuns) {
     machine.Spawn(library.bitcnts());
     machine.Spawn(library.openssl());
     machine.Run(20'000);
-    return std::make_pair(machine.TotalWorkDone(), machine.TotalTaskEnergy());
+    return std::make_pair(machine.state().TotalWorkDone(), machine.state().TotalTaskEnergy());
   };
   const auto a = run();
   const auto b = run();
@@ -194,9 +194,22 @@ TEST(MachineConfigTest, SeedChangesStochasticPath) {
     const ProgramLibrary library(EnergyModel::Default());
     machine.Spawn(library.openssl());
     machine.Run(20'000);
-    return machine.TotalTaskEnergy();
+    return machine.state().TotalTaskEnergy();
   };
   EXPECT_NE(run(1), run(2));
+}
+
+TEST(MachineConfigTest, RetiredIntraRunThreadsIsRejected) {
+  // The engine has no intra-run workers: a nonzero value must fail loudly
+  // instead of silently running the single interleaved tick.
+  MachineConfig config = BaseConfig();
+  config.intra_run_threads = 1;
+  try {
+    Machine machine(config);
+    FAIL() << "intra_run_threads = 1 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("intra_run_threads"), std::string::npos);
+  }
 }
 
 }  // namespace

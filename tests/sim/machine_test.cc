@@ -31,17 +31,17 @@ class MachineTest : public ::testing::Test {
 TEST_F(MachineTest, StartsIdle) {
   Machine machine(SmallConfig());
   EXPECT_EQ(machine.now(), 0);
-  EXPECT_EQ(machine.num_cpus(), 2u);
-  for (std::size_t phys = 0; phys < machine.num_physical(); ++phys) {
-    EXPECT_DOUBLE_EQ(machine.Temperature(phys), 22.0);
+  EXPECT_EQ(machine.state().num_cpus(), 2u);
+  for (std::size_t phys = 0; phys < machine.state().num_physical(); ++phys) {
+    EXPECT_DOUBLE_EQ(machine.state().Temperature(phys), 22.0);
   }
 }
 
 TEST_F(MachineTest, IdleMachineBurnsHaltPower) {
   Machine machine(SmallConfig());
   machine.Run(100);
-  for (std::size_t phys = 0; phys < machine.num_physical(); ++phys) {
-    EXPECT_NEAR(machine.TruePower(phys), 13.6, 1e-9);
+  for (std::size_t phys = 0; phys < machine.state().num_physical(); ++phys) {
+    EXPECT_NEAR(machine.state().TruePower(phys), 13.6, 1e-9);
   }
 }
 
@@ -57,8 +57,8 @@ TEST_F(MachineTest, RunningBitcntsReachesNominalPower) {
   Machine machine(SmallConfig());
   Task* task = machine.Spawn(library_.bitcnts());
   machine.Run(5'000);
-  const std::size_t phys = machine.config().topology.PhysicalOf(task->cpu());
-  EXPECT_NEAR(machine.TruePower(phys), 61.0, 2.0);
+  const std::size_t phys = machine.state().config().topology.PhysicalOf(task->cpu());
+  EXPECT_NEAR(machine.state().TruePower(phys), 61.0, 2.0);
   // Profile converges to ~61 W too (estimated via counters).
   EXPECT_NEAR(task->profile().power(), 61.0, 2.0);
 }
@@ -67,16 +67,16 @@ TEST_F(MachineTest, TemperatureRisesUnderLoad) {
   Machine machine(SmallConfig());
   Task* task = machine.Spawn(library_.bitcnts());
   machine.Run(60'000);  // 60 s >> tau = 12 s
-  const std::size_t phys = machine.config().topology.PhysicalOf(task->cpu());
+  const std::size_t phys = machine.state().config().topology.PhysicalOf(task->cpu());
   // Steady state: 22 + 0.3 * 61 = 40.3 C.
-  EXPECT_NEAR(machine.Temperature(phys), 40.3, 1.0);
+  EXPECT_NEAR(machine.state().Temperature(phys), 40.3, 1.0);
 }
 
 TEST_F(MachineTest, ThermalPowerTracksConsumption) {
   Machine machine(SmallConfig());
   Task* task = machine.Spawn(library_.bitcnts());
   machine.Run(60'000);
-  EXPECT_NEAR(machine.ThermalPower(task->cpu()), 61.0, 2.5);
+  EXPECT_NEAR(machine.state().ThermalPower(task->cpu()), 61.0, 2.5);
 }
 
 TEST_F(MachineTest, TwoTasksShareOneCpuViaTimeslices) {
@@ -96,8 +96,8 @@ TEST_F(MachineTest, PlacementSpreadsTasks) {
   Machine machine(SmallConfig());
   machine.Spawn(library_.bitcnts());
   machine.Spawn(library_.memrw());
-  EXPECT_EQ(machine.runqueue(0).nr_running(), 1u);
-  EXPECT_EQ(machine.runqueue(1).nr_running(), 1u);
+  EXPECT_EQ(machine.state().runqueue(0).nr_running(), 1u);
+  EXPECT_EQ(machine.state().runqueue(1).nr_running(), 1u);
 }
 
 TEST_F(MachineTest, BlockingTaskSleepsAndWakes) {
@@ -126,7 +126,7 @@ TEST_F(MachineTest, CompletionRespawnsAndCounts) {
   Task* task = machine.Spawn(short_library.short_hot());  // 500 ticks of work
   machine.Run(2'000);
   EXPECT_GE(task->completions(), 1);
-  EXPECT_GE(machine.TotalCompletions(), 1);
+  EXPECT_GE(machine.state().TotalCompletions(), 1);
 }
 
 TEST_F(MachineTest, MigrateTaskMovesQueuedTask) {
@@ -138,9 +138,9 @@ TEST_F(MachineTest, MigrateTaskMovesQueuedTask) {
   Task* extra = machine.Spawn(library_.aluadd());
   const int from = extra->cpu();
   const int to = 1 - from;
-  EXPECT_TRUE(machine.MigrateTask(extra, from, to));
+  EXPECT_TRUE(machine.state().MigrateTask(extra, from, to));
   EXPECT_EQ(extra->cpu(), to);
-  EXPECT_EQ(machine.migration_count(), 1);
+  EXPECT_EQ(machine.state().migration_count(), 1);
   EXPECT_GT(extra->warmup_ticks_left(), 0);
 }
 
@@ -148,21 +148,21 @@ TEST_F(MachineTest, MigrateCurrentTaskCommitsPeriod) {
   Machine machine(SmallConfig());
   Task* task = machine.Spawn(library_.bitcnts());
   machine.Run(50);  // mid-timeslice
-  ASSERT_EQ(machine.runqueue(task->cpu()).current(), task);
+  ASSERT_EQ(machine.state().runqueue(task->cpu()).current(), task);
   const int from = task->cpu();
   const int to = 1 - from;
-  EXPECT_TRUE(machine.MigrateTask(task, from, to));
+  EXPECT_TRUE(machine.state().MigrateTask(task, from, to));
   EXPECT_EQ(task->period_ticks(), 0);  // period was committed
-  EXPECT_TRUE(machine.runqueue(from).Idle());
-  EXPECT_EQ(machine.runqueue(to).nr_running(), 1u);
+  EXPECT_TRUE(machine.state().runqueue(from).Idle());
+  EXPECT_EQ(machine.state().runqueue(to).nr_running(), 1u);
 }
 
 TEST_F(MachineTest, BinaryRegistryLearnsFirstTimeslice) {
   Machine machine(SmallConfig());
   machine.Spawn(library_.bitcnts());
   machine.Run(500);
-  EXPECT_TRUE(machine.binary_registry().Knows(kBinBitcnts));
-  EXPECT_NEAR(machine.binary_registry().InitialPowerFor(kBinBitcnts), 61.0, 3.0);
+  EXPECT_TRUE(machine.state().binary_registry().Knows(kBinBitcnts));
+  EXPECT_NEAR(machine.state().binary_registry().InitialPowerFor(kBinBitcnts), 61.0, 3.0);
 }
 
 TEST_F(MachineTest, SmtCoRunSlowsProgress) {
@@ -188,8 +188,8 @@ TEST_F(MachineTest, ThrottlingCapsThermalPower) {
   Machine machine(config);
   Task* task = machine.Spawn(library_.bitcnts());
   machine.Run(120'000);
-  EXPECT_LT(machine.ThermalPower(task->cpu()), 41.5);
-  EXPECT_GT(machine.throttle(task->cpu()).ThrottledFraction(), 0.2);
+  EXPECT_LT(machine.state().ThermalPower(task->cpu()), 41.5);
+  EXPECT_GT(machine.state().throttle(task->cpu()).ThrottledFraction(), 0.2);
 }
 
 TEST_F(MachineTest, EnergyAttributionConsistent) {
@@ -202,11 +202,11 @@ TEST_F(MachineTest, EnergyAttributionConsistent) {
   double true_energy = 0.0;
   for (Tick t = 0; t < ticks; ++t) {
     machine.Step();
-    for (std::size_t phys = 0; phys < machine.num_physical(); ++phys) {
-      true_energy += machine.TruePower(phys) * kTickSeconds;
+    for (std::size_t phys = 0; phys < machine.state().num_physical(); ++phys) {
+      true_energy += machine.state().TruePower(phys) * kTickSeconds;
     }
   }
-  const double estimated = machine.TotalTaskEnergy();
+  const double estimated = machine.state().TotalTaskEnergy();
   EXPECT_NEAR(estimated / true_energy, 1.0, 0.1);
 }
 
@@ -217,7 +217,7 @@ TEST_F(MachineTest, TaskCpuReportsInvalidWhileSleeping) {
     machine.Step();
     ASSERT_LT(machine.now(), 5'000);
   }
-  EXPECT_EQ(Machine::TaskCpu(*task), kInvalidCpu);
+  EXPECT_EQ(SimulationState::TaskCpu(*task), kInvalidCpu);
 }
 
 }  // namespace

@@ -58,16 +58,16 @@ TEST(WakeQueueTest, SleeperWakesOnExactTickCurrentTaskCompletes) {
 
   machine.Run(49);  // ticks 0..48: the worker runs, one tick of work short
   EXPECT_EQ(b->state(), TaskState::kSleeping);
-  EXPECT_EQ(machine.runqueue(0).current(), a);
+  EXPECT_EQ(machine.state().runqueue(0).current(), a);
 
   machine.Run(1);  // tick 49: b wakes at the start, a completes at the end
   EXPECT_EQ(a->state(), TaskState::kFinished);
   EXPECT_EQ(b->state(), TaskState::kRunnable);
-  EXPECT_EQ(machine.runqueue(0).current(), nullptr);
-  EXPECT_EQ(machine.runqueue(0).nr_queued(), 1u);
+  EXPECT_EQ(machine.state().runqueue(0).current(), nullptr);
+  EXPECT_EQ(machine.state().runqueue(0).nr_queued(), 1u);
 
   machine.Run(1);  // tick 50: the woken daemon switches in
-  EXPECT_EQ(machine.runqueue(0).current(), b);
+  EXPECT_EQ(machine.state().runqueue(0).current(), b);
   EXPECT_EQ(b->state(), TaskState::kRunning);
 }
 
@@ -130,10 +130,10 @@ TEST(ArrivalQueueTest, ArrivalSpawnsBeforeWakeupOnSameTick) {
 
   // The arrival spawned first (placement saw the pre-wake queue), then the
   // wakeup enqueued at the front: the woken task runs before the newcomer.
-  ASSERT_EQ(machine.runqueue(0).nr_queued(), 2u);
-  EXPECT_EQ(machine.runqueue(0).queued()[0], sleeper);
-  EXPECT_EQ(machine.runqueue(0).queued()[1]->name(), "newcomer");
-  EXPECT_EQ(machine.tasks().size(), 3u);
+  ASSERT_EQ(machine.state().runqueue(0).nr_queued(), 2u);
+  EXPECT_EQ(machine.state().runqueue(0).queued()[0], sleeper);
+  EXPECT_EQ(machine.state().runqueue(0).queued()[1]->name(), "newcomer");
+  EXPECT_EQ(machine.state().tasks().size(), 3u);
 }
 
 // --- golden traces: event-driven engine vs the scan-based loop ---------------

@@ -69,12 +69,11 @@ def cluster_scale_doc(rate=100.0):
     return {
         "bench": "cluster_scale",
         "ticks": 200,
-        "intra_threads": 4,
         "balance_sweeps": 3,
         "threads": 8,
         "build_type": "Release",
         "rows": [
-            {"name": "tick_512", "ticks_per_second": rate, "identical": True},
+            {"name": "tick_512", "ticks_per_second": rate},
             {"name": "balance_1024", "passes_per_second": rate * 10},
             {"name": "balance_scaling", "sublinear": True},
         ],
@@ -251,11 +250,11 @@ class ClusterScaleTest(unittest.TestCase):
         gate = run_gate(bench_compare.compare_cluster_scale, cluster_scale_doc(), current)
         self.assertTrue(any("sublinear" in f for f in gate.failures))
 
-    def test_intra_threads_mismatch_fails(self):
+    def test_ticks_mismatch_fails(self):
         current = cluster_scale_doc()
-        current["intra_threads"] = 2
+        current["ticks"] = 100
         gate = run_gate(bench_compare.compare_cluster_scale, cluster_scale_doc(), current)
-        self.assertTrue(any("config mismatch on 'intra_threads'" in f for f in gate.failures))
+        self.assertTrue(any("config mismatch on 'ticks'" in f for f in gate.failures))
 
 
 class ServeThroughputTest(unittest.TestCase):

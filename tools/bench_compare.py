@@ -217,11 +217,9 @@ def compare_governor_sweep(baseline, current, gate):
 
 def compare_cluster_scale(baseline, current, gate):
     # Wall-clock ticks/s and balance passes/s, so the run shape must match.
-    # The pool_on speedup is a property of the measuring machine's core
-    # count, not of the code - it is informational here; what gates is each
-    # row's own throughput against the baseline plus the two invariants the
-    # bench asserts (worker-count bit-identity, sublinear balance scaling).
-    for field in ("ticks", "intra_threads", "balance_sweeps", "threads", "build_type"):
+    # What gates is each row's own throughput against the baseline plus the
+    # sublinear balance scaling the bench asserts.
+    for field in ("ticks", "balance_sweeps", "threads", "build_type"):
         gate.config(field, baseline.get(field), current.get(field))
     base_rows = {row["name"]: row for row in baseline.get("rows", [])}
     gate.rows(base_rows, [row["name"] for row in current.get("rows", [])])
@@ -236,7 +234,6 @@ def compare_cluster_scale(baseline, current, gate):
                 base.get("ticks_per_second", 0),
                 row["ticks_per_second"],
             )
-            gate.invariant(f"bit-identical states[{name}]", row.get("identical", False))
         elif "passes_per_second" in row:
             gate.rate(
                 f"passes_per_second[{name}]",

@@ -2,9 +2,9 @@
 """easlint: project-specific static analysis for the energy-aware scheduler.
 
 The simulator's reproducibility claims rest on invariants no general linter
-knows about: every run must be bit-identical across thread counts, worker
-counts and skip-ahead modes. easlint enforces the whole class at lint time
-instead of one instance at test time. Three check families:
+knows about: every run must be bit-identical across runner thread counts
+and skip-ahead modes. easlint enforces the whole class at lint time instead
+of one instance at test time. Two check families:
 
   determinism        In src/, wall-clock reads, rand()/srand()/
                      std::random_device and std::<random> engines are banned
@@ -17,12 +17,6 @@ instead of one instance at test time. Three check families:
                      order changes run to run - the historical seed case was
                      BalanceAggregateCache keying group aggregates by
                      `const CpuGroup*`).
-  shard-confinement  Functions annotated EAS_SHARD_LOCAL (src/base/
-                     annotations.h) run inside the package-parallel tick
-                     region and must never reach an EAS_CROSS_SHARD function
-                     - directly or through any call chain within src/. The
-                     checker builds a token-level call graph and reports the
-                     offending chain.
   registry/metric    Registered scenario and governor names are lowercase
   hygiene            kebab-case, balance-policy names lowercase snake_case
                      (the established naming rules); the metric schema is
@@ -68,7 +62,6 @@ RULES = (
     "determinism-unseeded-prng",
     "determinism-unordered-iter",
     "determinism-pointer-key",
-    "shard-confinement",
     "fault-rng-isolation",
     "registry-naming",
     "metric-schema",
@@ -90,25 +83,6 @@ DETERMINISM_RULES = {
 METRIC_SCHEMA_SOURCE = os.path.join("src", "sim", "metrics.cc")
 
 SUPPRESS_RE = re.compile(r"//\s*easlint:\s*allow\(([\w,\s-]+)\)(\s*--\s*(\S.*))?")
-
-# C++ keywords and cast-like tokens that look like calls in `name (`.
-NOT_CALLS = frozenset(
-    """if for while switch catch sizeof alignof alignas decltype return new delete
-    static_cast dynamic_cast reinterpret_cast const_cast static_assert assert
-    defined throw noexcept operator""".split()
-)
-
-# Method names too generic to traverse in the shard-confinement call graph:
-# they are overwhelmingly std:: members (begin, size, ...) and following every
-# same-named definition in src/ would only manufacture collisions. A genuine
-# cross-shard accessor must not hide behind one of these names - keep
-# annotated API names distinctive.
-GENERIC_NAMES = frozenset(
-    """begin end cbegin cend rbegin rend size empty clear resize reserve
-    push_back pop_back emplace_back emplace front back at data find count
-    insert erase get reset release str c_str swap min max abs first second
-    value has_value push pop top""".split()
-)
 
 WALL_CLOCK_RES = (
     re.compile(r"\b(?:system_clock|steady_clock|high_resolution_clock)\s*::\s*now\b"),
@@ -137,8 +111,6 @@ ASSOC_DECL_RE = re.compile(
     r"\b(?:std\s*::\s*)?(unordered_map|unordered_set|unordered_multimap|"
     r"unordered_multiset|map|set|multimap|multiset)\s*<"
 )
-
-IDENT_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 
 # Fault-layer RNG isolation: a chaos schedule must be a function of the
 # fault spec text alone. Drawing from a shared RNG accessor (state.rng(),
@@ -329,30 +301,36 @@ def _blank_views(text):
     return "".join(code), "".join(nocomment)
 
 
-def match_paren(text, open_index):
-    """Index just past the ')' matching the '(' at open_index, or -1."""
+def _template_args(code, open_angle):
+    """Splits the top-level comma-separated args of the <...> at open_angle.
+
+    Returns (args, index_past_closing_angle) or (None, -1) when unbalanced.
+    """
     depth = 0
-    for i in range(open_index, len(text)):
-        if text[i] == "(":
+    args = []
+    current = []
+    i = open_angle
+    while i < len(code):
+        c = code[i]
+        if c == "<":
             depth += 1
-        elif text[i] == ")":
+            if depth > 1:
+                current.append(c)
+        elif c == ">":
             depth -= 1
             if depth == 0:
-                return i + 1
-    return -1
-
-
-def match_brace(text, open_index):
-    """Index just past the '}' matching the '{' at open_index, or -1."""
-    depth = 0
-    for i in range(open_index, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
+                args.append("".join(current))
+                return args, i + 1
+            current.append(c)
+        elif c == "," and depth == 1:
+            args.append("".join(current))
+            current = []
+        elif c in ";{}" :
+            return None, -1
+        else:
+            current.append(c)
+        i += 1
+    return None, -1
 
 
 # --- the linter --------------------------------------------------------------
@@ -586,218 +564,6 @@ class Linter:
                 )
 
 
-# --- shard-confinement -------------------------------------------------------
-
-
-class Definition:
-    def __init__(self, name, qualified, source, line, calls):
-        self.name = name
-        self.qualified = qualified
-        self.source = source
-        self.line = line
-        self.calls = calls  # list of (simple_name, line, kind); kind in
-        #                     {"plain", "member", "scoped"}
-
-    @property
-    def cls(self):
-        return self.qualified.split("::", 1)[0] if self.qualified else None
-
-
-def _template_args(code, open_angle):
-    """Splits the top-level comma-separated args of the <...> at open_angle.
-
-    Returns (args, index_past_closing_angle) or (None, -1) when unbalanced.
-    """
-    depth = 0
-    args = []
-    current = []
-    i = open_angle
-    while i < len(code):
-        c = code[i]
-        if c == "<":
-            depth += 1
-            if depth > 1:
-                current.append(c)
-        elif c == ">":
-            depth -= 1
-            if depth == 0:
-                args.append("".join(current))
-                return args, i + 1
-            current.append(c)
-        elif c == "," and depth == 1:
-            args.append("".join(current))
-            current = []
-        elif c in ";{}" :
-            return None, -1
-        else:
-            current.append(c)
-        i += 1
-    return None, -1
-
-
-def parse_annotations(source):
-    """(macro, simple_name, line) for each EAS_* annotated declaration."""
-    out = []
-    for match in re.finditer(r"\b(EAS_SHARD_LOCAL|EAS_CROSS_SHARD)\b", source.code):
-        paren = source.code.find("(", match.end())
-        if paren == -1:
-            continue
-        head = source.code[match.end():paren]
-        idents = re.findall(r"[A-Za-z_]\w*", head)
-        if not idents:
-            continue
-        out.append((match.group(1), idents[-1], source.line_of(match.start())))
-    return out
-
-
-def parse_definitions(source):
-    """Token-level function definitions with their outgoing calls."""
-    out = []
-    code = source.code
-    for match in IDENT_CALL_RE.finditer(code):
-        name = match.group(1)
-        if name in NOT_CALLS:
-            continue
-        close = match_paren(code, match.end() - 1)
-        if close == -1:
-            continue
-        # Skip trailing qualifiers to find the body opener (or bail: a call).
-        i = close
-        while i < len(code):
-            rest = code[i:]
-            qualifier = re.match(
-                r"\s*(const|noexcept|override|final|mutable|->\s*[\w:<>,\s&*]+)", rest
-            )
-            if qualifier and qualifier.end() > 0 and qualifier.group(1):
-                i += qualifier.end()
-                continue
-            break
-        tail = code[i:]
-        body_open = None
-        brace = re.match(r"\s*\{", tail)
-        if brace:
-            body_open = i + brace.end() - 1
-        else:
-            init = re.match(r"\s*:\s*[^;{]*\{", tail)  # constructor init list
-            if init:
-                body_open = i + init.end() - 1
-        if body_open is None:
-            continue
-        # Reject control flow that slipped through and declarations like
-        # `struct Foo {`: require the '(' to directly follow the name.
-        body_close = match_brace(code, body_open)
-        if body_close == -1:
-            continue
-        qualified = None
-        before = code[: match.start()].rstrip()
-        qual_match = re.search(r"([A-Za-z_]\w*)\s*::\s*$", before)
-        if qual_match:
-            qualified = f"{qual_match.group(1)}::{name}"
-        body = code[body_open:body_close]
-        body_line = source.line_of(body_open)
-        calls = []
-        for call in IDENT_CALL_RE.finditer(body):
-            callee = call.group(1)
-            if callee in NOT_CALLS or callee == name:
-                continue
-            # How the callee is reached decides how it may be resolved later:
-            # `x.Foo(` / `x->Foo(` is a member of the receiver's class (which
-            # the token engine cannot name), `NS::Foo(` is scoped, a bare
-            # `Foo(` is this-class or free.
-            prefix = body[: call.start()].rstrip()
-            if prefix.endswith(".") or prefix.endswith("->"):
-                kind = "member"
-            elif prefix.endswith("::"):
-                kind = "scoped"
-            else:
-                kind = "plain"
-            calls.append((callee, body_line + body[: call.start()].count("\n"), kind))
-        out.append(Definition(name, qualified, source, source.line_of(match.start()), calls))
-    return out
-
-
-def check_shard_confinement(linter, sources):
-    shard_local = {}
-    cross_shard = {}
-    for source in sources:
-        for macro, name, line in parse_annotations(source):
-            target = shard_local if macro == "EAS_SHARD_LOCAL" else cross_shard
-            target.setdefault(name, (source, line))
-    if not shard_local and not cross_shard:
-        return
-
-    defs_by_name = {}
-    for source in sources:
-        for definition in parse_definitions(source):
-            defs_by_name.setdefault(definition.name, []).append(definition)
-
-    for root_name in sorted(shard_local):
-        for root_def in defs_by_name.get(root_name, []):
-            _walk_shard_local(linter, root_def, root_name, shard_local, cross_shard,
-                              defs_by_name)
-
-
-def _resolve_targets(definition, callee, kind, defs_by_name):
-    """Definitions a call from `definition` may land on.
-
-    Annotated (cross-shard) names are matched by bare name elsewhere; this
-    resolution only governs how far the walk *expands* through unannotated
-    intermediates, so it must stay precise rather than complete:
-      - a bare call resolves within the caller's class, then to free/sibling
-        definitions in the caller's file;
-      - a member call through a receiver (whose class the token engine cannot
-        name) or a scoped call expands only when the name is defined exactly
-        once in the tree - an ambiguous name would conflate unrelated classes
-        (e.g. every `Step`/`Run` in the codebase) into one node.
-    """
-    candidates = defs_by_name.get(callee, [])
-    if not candidates:
-        return []
-    if kind == "plain":
-        same_class = [d for d in candidates
-                      if definition.cls and d.cls == definition.cls]
-        if same_class:
-            return same_class
-        same_file = [d for d in candidates if d.source is definition.source]
-        if same_file:
-            return same_file
-    if len(candidates) == 1:
-        return candidates
-    return []
-
-
-def _walk_shard_local(linter, root_def, root_name, shard_local, cross_shard,
-                      defs_by_name):
-    # DFS over the call graph. Cross-shard hits are matched by annotated name
-    # regardless of call form; expansion through unannotated intermediates
-    # follows _resolve_targets, and generic std-ish names are never expanded
-    # (see GENERIC_NAMES). Chains through another shard-local entry point are
-    # not re-walked - that entry point is checked from its own root.
-    stack = [(root_def, [f"{root_def.qualified or root_def.name}"])]
-    visited = {root_name}
-    while stack:
-        definition, chain = stack.pop()
-        for callee, line, kind in definition.calls:
-            if callee in cross_shard:
-                pretty = " -> ".join(chain + [callee])
-                linter.add(
-                    definition.source,
-                    line,
-                    "shard-confinement",
-                    f"shard-local '{root_name}' reaches cross-shard '{callee}' "
-                    f"({pretty}): package-parallel phases must only touch their "
-                    "own PackageShard; move this call to a sequential section "
-                    "or re-scope the annotation",
-                )
-                continue
-            if callee in visited or callee in GENERIC_NAMES or callee in shard_local:
-                continue
-            visited.add(callee)
-            for target in _resolve_targets(definition, callee, kind, defs_by_name):
-                if len(chain) < 12:
-                    stack.append((target, chain + [callee]))
-
-
 # --- AST engine (libclang) ---------------------------------------------------
 
 
@@ -1008,7 +774,6 @@ def main():
         linter.check_registry_naming(source)
         linter.check_metric_schema(source)
         linter.check_suppressions(source)
-    check_shard_confinement(linter, sources)
 
     linter.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     out_lines = [f"easlint: engine={engine_note} files={len(sources)} "

@@ -104,7 +104,7 @@ def main():
     required = {
         "determinism-wall-clock", "determinism-raw-rand",
         "determinism-unseeded-prng", "determinism-unordered-iter",
-        "determinism-pointer-key", "shard-confinement", "fault-rng-isolation",
+        "determinism-pointer-key", "fault-rng-isolation",
         "registry-naming", "metric-schema", "suppression-justification",
     }
     missing = required - set(rules_covered)

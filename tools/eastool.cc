@@ -109,10 +109,6 @@ void PrintUsage() {
       "  --no-skip-ahead     step quiescent spans tick by tick instead of\n"
       "                      skipping ahead (results are bit-identical; this\n"
       "                      is the A/B timing escape hatch)\n"
-      "  --intra-threads N   intra-run workers for the package-parallel tick\n"
-      "                      pipeline (default 0 = the historical interleaved\n"
-      "                      loop; any N >= 1 runs the sharded pipeline, whose\n"
-      "                      results are bit-identical for every N >= 1)\n"
       "  --request FILE      load a RunRequest file (key = value lines; flags\n"
       "                      above override its fields)\n"
       "  --batch FILE        run every request in FILE (one per line, 'key = v;\n"
@@ -141,8 +137,7 @@ constexpr const char* kKnownFlags[] = {
     "runs",       "seed",           "tag",            "request",     "batch",
     "print-request", "threads",     "trace-csv",      "summary-csv", "jsonl",
     "sink",       "plot",           "max-power",      "temp-limit",  "throttle",
-    "no-skip-ahead", "intra-threads", "socket",       "queue-depth", "faults",
-    "list-faults"};
+    "no-skip-ahead", "socket",      "queue-depth",    "faults",      "list-faults"};
 
 // The flags that shape the request itself (as opposed to execution/output);
 // rejected with --batch, where the batch file is the single source of truth.
@@ -150,8 +145,7 @@ constexpr const char* kRequestFlags[] = {"scenario",   "topology",   "policy",
                                          "workload",   "governor",   "duration-s",
                                          "runs",       "seed",       "tag",
                                          "max-power",  "temp-limit", "throttle",
-                                         "no-skip-ahead", "intra-threads", "request",
-                                         "faults"};
+                                         "no-skip-ahead", "request",  "faults"};
 
 bool ReadFileToString(const std::string& path, std::string* out) {
   std::ifstream stream(path, std::ios::binary);
@@ -172,8 +166,8 @@ bool ReadFileToString(const std::string& path, std::string* out) {
 // value.
 bool ApplyFlagOverrides(const eas::FlagParser& flags, eas::RunRequest* request) {
   for (const char* key : {"scenario", "topology", "policy", "workload", "governor",
-                          "faults", "duration-s", "max-power", "temp-limit",
-                          "intra-threads", "seed", "runs", "tag"}) {
+                          "faults", "duration-s", "max-power", "temp-limit", "seed",
+                          "runs", "tag"}) {
     if (!flags.Has(key)) {
       continue;
     }
