@@ -24,7 +24,9 @@
 // diff runs measured under different conditions.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -149,16 +151,29 @@ Measurement MeasurePopulation(const eas::ProgramLibrary& library, int tasks, Tic
   return m;
 }
 
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 // End states must match bitwise between the skip-ahead and naive runs: the
 // scheduler-visible aggregates plus the analog state skip-ahead integrates
-// in closed form (package temperature and true power).
+// in closed form (package temperature and true power, per-CPU thermal
+// power).
 bool BitIdentical(eas::SimulationState& a, eas::SimulationState& b) {
-  if (a.TotalWorkDone() != b.TotalWorkDone() || a.TotalTaskEnergy() != b.TotalTaskEnergy() ||
+  if (!SameBits(a.TotalWorkDone(), b.TotalWorkDone()) ||
+      !SameBits(a.TotalTaskEnergy(), b.TotalTaskEnergy()) ||
       a.migration_count() != b.migration_count() || a.now() != b.now()) {
     return false;
   }
   for (std::size_t phys = 0; phys < a.num_physical(); ++phys) {
-    if (a.Temperature(phys) != b.Temperature(phys) || a.TruePower(phys) != b.TruePower(phys)) {
+    if (!SameBits(a.Temperature(phys), b.Temperature(phys)) ||
+        !SameBits(a.TruePower(phys), b.TruePower(phys))) {
+      return false;
+    }
+  }
+  for (std::size_t cpu = 0; cpu < a.num_cpus(); ++cpu) {
+    const int id = static_cast<int>(cpu);
+    if (!SameBits(a.ThermalPower(id), b.ThermalPower(id))) {
       return false;
     }
   }

@@ -19,7 +19,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdint>
 
 namespace eas {
 
@@ -45,13 +44,6 @@ class ExpAverage {
   }
 
   // Folds in a rate sample directly (already per standard period).
-  //
-  // The decay factor (1-p)^(period/standard) is memoized on `period`: the
-  // engine's hot paths feed fixed-length periods (every tick is
-  // kTickSeconds, every committed timeslice round the same grant), so the
-  // pow() collapses to one compare almost every call. std::pow is
-  // deterministic for identical arguments, so the memoized value is
-  // bit-identical to recomputing it.
   void AddRateSample(double rate, double period) {
     assert(period > 0.0);
     if (!has_samples_) {
@@ -59,51 +51,23 @@ class ExpAverage {
       has_samples_ = true;
       return;
     }
-    if (period != cached_period_) {
-      cached_period_ = period;
-      cached_decay_ = std::pow(1.0 - weight_, period / standard_period_);
-    }
-    const double decay = cached_decay_;
+    const double decay = Decay(period);
     value_ = (1.0 - decay) * rate + decay * value_;
   }
 
-  // Folds in `n` consecutive identical rate samples, bit-identically to
-  // calling AddRateSample(rate, period) n times. The naive loop evaluates
-  // the same decay and the same (1-d)*rate product every iteration (constant
-  // inputs, deterministic pow), so both are hoisted; only the contraction
-  //   value = blended + decay * value
-  // must run per sample. The contraction reaches an exact floating-point
-  // fixed point (a value that maps to itself bitwise), after which further
-  // samples cannot change anything and the loop exits early - this is what
-  // lets the engine's skip-ahead integrate long idle spans at a cost bounded
-  // by convergence, not span length.
-  void AddRateSamples(double rate, double period, std::int64_t n) {
-    assert(period > 0.0);
-    if (n <= 0) {
-      return;
-    }
-    if (!has_samples_) {
-      value_ = rate;
-      has_samples_ = true;
-      if (--n == 0) {
-        return;
-      }
-    }
+  // The weight (1-p)^(period/standard) a sample covering `period` leaves on
+  // the past. Memoized on `period`: the engine's hot paths feed fixed-length
+  // periods (every tick is kTickSeconds, every committed timeslice round the
+  // same grant), so the pow() collapses to one compare almost every call.
+  // std::pow is deterministic for identical arguments, so the memoized value
+  // is bit-identical to recomputing it. The skip-ahead kernel reads it to
+  // replay AddRateSample's update (src/sim/idle_lanes.h).
+  double Decay(double period) {
     if (period != cached_period_) {
       cached_period_ = period;
       cached_decay_ = std::pow(1.0 - weight_, period / standard_period_);
     }
-    const double decay = cached_decay_;
-    const double blended = (1.0 - decay) * rate;
-    double value = value_;
-    for (; n > 0; --n) {
-      const double next = blended + decay * value;
-      if (next == value) {
-        break;
-      }
-      value = next;
-    }
-    value_ = value;
+    return cached_decay_;
   }
 
   // Forces the average to a value (used to seed a task's profile from the

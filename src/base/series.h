@@ -18,6 +18,13 @@ class Series {
  public:
   explicit Series(std::string name) : name_(std::move(name)) {}
 
+  // Makes room for `samples` samples, so a recorder that knows its length
+  // up front allocates each column once instead of growing it.
+  void Reserve(std::size_t samples) {
+    ticks_.reserve(samples);
+    values_.reserve(samples);
+  }
+
   void Add(Tick tick, double value) {
     ticks_.push_back(tick);
     values_.push_back(value);

@@ -9,16 +9,4 @@ CpuPowerState::CpuPowerState(double max_power_watts, double tau_seconds,
   thermal_average_.Reset(initial_power_watts);
 }
 
-void CpuPowerState::AccountEnergy(double joules, double period_seconds) {
-  // Rate per standard period (one tick) == average power over the period.
-  thermal_average_.AddRateSample(joules / period_seconds, period_seconds);
-}
-
-void CpuPowerState::AccountEnergyRepeated(double joules, double period_seconds,
-                                          std::int64_t n) {
-  // The quotient is the same every period (identical operands), so one
-  // division feeds the batched average update.
-  thermal_average_.AddRateSamples(joules / period_seconds, period_seconds, n);
-}
-
 }  // namespace eas

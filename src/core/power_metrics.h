@@ -26,14 +26,17 @@ class CpuPowerState {
   CpuPowerState(double max_power_watts, double tau_seconds, double initial_power_watts);
 
   // Folds `joules` consumed over `period_seconds` into the thermal power.
-  void AccountEnergy(double joules, double period_seconds);
-
-  // Folds `n` identical periods in one call, bit-identically to n
-  // AccountEnergy calls (the skip-ahead engine's idle-span integration).
-  void AccountEnergyRepeated(double joules, double period_seconds, std::int64_t n);
+  void AccountEnergy(double joules, double period_seconds) {
+    // Rate per standard period (one tick) == average power over the period.
+    thermal_average_.AddRateSample(joules / period_seconds, period_seconds);
+  }
 
   // Thermal power (W): follows the package temperature.
   double thermal_power() const { return thermal_average_.value(); }
+
+  // The average behind thermal_power(); the skip-ahead kernel reads its
+  // decay and writes back the value it integrated over an idle span.
+  ExpAverage& thermal_average() { return thermal_average_; }
 
   double max_power() const { return max_power_watts_; }
   void set_max_power(double watts) { max_power_watts_ = watts; }

@@ -25,6 +25,19 @@ void Accounting::TraceTask(const Task* task) {
   traced_.push_back(task);
 }
 
+void Accounting::ReserveFor(Tick duration_ticks) {
+  if (duration_ticks <= 0) {
+    return;
+  }
+  const auto samples =
+      static_cast<std::size_t>(duration_ticks / options_.sample_interval_ticks + 1);
+  for (SeriesSet* set : {&thermal_power_, &temperature_, &task_cpu_, &frequency_}) {
+    for (std::size_t i = 0; i < set->size(); ++i) {
+      set->at(i).Reserve(samples);
+    }
+  }
+}
+
 void Accounting::OnTick(const SimulationState& state) {
   // Observers run after the tick counter advanced, so the tick that just
   // executed is now()-1; sample it, relative to the anchor, on the grid

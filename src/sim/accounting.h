@@ -32,6 +32,11 @@ class Accounting : public TickObserver {
   // before the first sampled tick.
   void TraceTask(const Task* task);
 
+  // Sizes every series created so far for a run of `duration_ticks`: the
+  // grid holds at most duration / interval + 1 samples. Call after the last
+  // TraceTask.
+  void ReserveFor(Tick duration_ticks);
+
   void OnTick(const SimulationState& state) override;
 
   // The next now value on the sampling grid: OnTick samples when the ticks

@@ -89,6 +89,7 @@ RunResult Experiment::Run(const Workload& workload) {
       accounting.TraceTask(task);
     }
   }
+  accounting.ReserveFor(options_.duration_ticks);
 
   // Faulted runs carry the invariant checker for their whole duration: a
   // chaos schedule that loses a task or unbalances a ledger throws out of

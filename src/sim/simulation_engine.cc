@@ -1,6 +1,7 @@
 #include "src/sim/simulation_engine.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/core/policy_registry.h"
 
@@ -120,7 +121,7 @@ void SimulationEngine::Advance(SimulationState& state, eas::Tick ticks) {
 }
 
 void SimulationEngine::RunQuiescentSpanFast(SimulationState& state, eas::Tick span) {
-  // Exactly the state a naive idle tick mutates, integrated over the span:
+  // Exactly the state a naive idle tick mutates, advanced over the span:
   //  - every logical CPU's thermal-power average absorbs its idle share
   //    (CounterSampler's inactive-sibling credit; no CPU is active);
   //  - every package's true power is the halt power (ThermalStepper with
@@ -128,26 +129,45 @@ void SimulationEngine::RunQuiescentSpanFast(SimulationState& state, eas::Tick sp
   //    that constant power.
   // Heap peeks, switch-in, selection, execution, lifecycle and balancing
   // touch nothing on an idle machine and draw no randomness, so eliding
-  // them is bit-neutral. The bulk helpers replay the per-tick floating-
-  // point recurrences exactly (hoisting only constant-operand expressions).
-  const double idle_share = state.IdlePowerPerLogical();
-  const double idle_joules = idle_share * kTickSeconds;
+  // them is bit-neutral. The lanes hoist only the per-tick expressions
+  // whose operands are constant over the span (the decays, (1-d)*rate and
+  // t_ss), each computed by the expression the per-tick path uses.
   const std::size_t logical = state.num_cpus();
+  const std::size_t physical = state.num_physical();
+  lanes_.clear();
+  lanes_.reserve(logical + physical);
+
+  // The idle share's energy per tick, as CounterSampler credits it, and
+  // the rate CpuPowerState::AccountEnergy derives from it.
+  const double idle_joules = state.IdlePowerPerLogical() * kTickSeconds;
+  const double idle_rate = idle_joules / kTickSeconds;
   for (std::size_t cpu = 0; cpu < logical; ++cpu) {
-    state.power_state(static_cast<int>(cpu))
-        .AccountEnergyRepeated(idle_joules, kTickSeconds, span);
+    ExpAverage& average = state.power_state(static_cast<int>(cpu)).thermal_average();
+    assert(average.has_samples());  // seeded at construction
+    const double decay = average.Decay(kTickSeconds);
+    lanes_.push_back(AverageLane(average.value(), (1.0 - decay) * idle_rate, decay));
   }
 
   // ThermalStepper's idle expression: halt static power plus zero dynamic
   // energy over the tick. `+ 0.0 / kTickSeconds` adds exact +0.0 to a
   // positive value, so the result is bitwise the halt power.
   const double true_power = state.config().model.halt_power() + 0.0 / kTickSeconds;
-  const std::size_t physical = state.num_physical();
   for (std::size_t phys = 0; phys < physical; ++phys) {
     state.set_true_power(phys, true_power);
-    state.thermal(phys).StepN(true_power, kTickSeconds, span);
+    RcThermalModel& thermal = state.thermal(phys);
+    lanes_.push_back(ThermalLane(thermal.temperature(),
+                                 thermal.params().SteadyStateTemp(true_power),
+                                 thermal.Decay(kTickSeconds)));
   }
 
+  AdvanceIdleLanes(lanes_, span);
+
+  for (std::size_t cpu = 0; cpu < logical; ++cpu) {
+    state.power_state(static_cast<int>(cpu)).thermal_average().Reset(lanes_[cpu].value);
+  }
+  for (std::size_t phys = 0; phys < physical; ++phys) {
+    state.thermal(phys).SetTemperature(lanes_[logical + phys].value);
+  }
   state.AdvanceTicks(span);
 }
 

@@ -36,6 +36,7 @@
 #include "src/sim/counter_sampler.h"
 #include "src/sim/fault_phase.h"
 #include "src/sim/frequency_phase.h"
+#include "src/sim/idle_lanes.h"
 #include "src/sim/sched_tick.h"
 #include "src/sim/simulation_state.h"
 #include "src/sim/thermal_stepper.h"
@@ -98,10 +99,12 @@ class SimulationEngine {
   // interesting tick - earliest wake, arrival, observer sample, or the run
   // budget - are advanced through a reduced kernel instead of the full
   // pipeline:
-  //  - ungoverned machines with throttling disabled integrate the whole
-  //    span in closed form (bulk exponential-average and RC updates that
-  //    reproduce the per-tick recurrences bit for bit, stopping early at
-  //    their floating-point fixed points) and jump the clock;
+  //  - ungoverned machines with throttling disabled replay the span's
+  //    arithmetic only: every CPU's thermal-power average and every
+  //    package's RC temperature advance side by side as register lanes
+  //    (src/sim/idle_lanes.h), bit for bit the per-tick recurrences,
+  //    stopping early once every lane is at its floating-point fixed
+  //    point, and the clock jumps;
   //  - governed or throttling machines step tick by tick through only the
   //    phases an idle tick actually exercises (gate, governor, idle energy
   //    credit, thermal step), skipping heap peeks, switch-in, execution,
@@ -114,8 +117,8 @@ class SimulationEngine {
   const BalancePolicy& policy() const { return balance_.policy(); }
 
  private:
-  // Integrates a quiescent span of `span` ticks in bulk (ungoverned,
-  // throttling disabled). Does not invoke observers.
+  // Advances a quiescent span of `span` ticks through the lane kernel
+  // (ungoverned, throttling disabled). Does not invoke observers.
   void RunQuiescentSpanFast(SimulationState& state, eas::Tick span);
 
   // Steps a quiescent span tick by tick through the reduced idle kernel
@@ -135,6 +138,8 @@ class SimulationEngine {
   // Per-tick scratch, reused across packages to avoid reallocation.
   std::vector<int> active_;
   std::vector<EventVector> events_;
+  // Closed-form span scratch: one lane per logical CPU, then one per package.
+  std::vector<IdleLane> lanes_;
 };
 
 }  // namespace eas

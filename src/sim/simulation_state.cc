@@ -117,35 +117,8 @@ SimulationState::~SimulationState() {
   }
 }
 
-double SimulationState::IdlePowerPerLogical() const {
-  return config_.model.halt_power() / static_cast<double>(config_.topology.smt_per_physical());
-}
-
-double SimulationState::MaxPowerPhysical(std::size_t physical) const {
-  const int first_logical = config_.topology.LogicalId(physical, 0);
-  return max_power_logical_[static_cast<std::size_t>(first_logical)] *
-         static_cast<double>(config_.topology.smt_per_physical());
-}
-
 double SimulationState::RunqueuePower(int cpu) const {
   return runqueue(cpu).AveragePower(IdlePowerPerLogical());
-}
-
-double SimulationState::ThermalPower(int cpu) const {
-  return power_state_by_cpu_[static_cast<std::size_t>(cpu)]->thermal_power();
-}
-
-double SimulationState::PackageThermalPower(std::size_t physical) const {
-  const PackageShard& shard = shards_[physical];
-  double sum = 0.0;
-  for (const CpuPowerState& power : shard.power_states) {
-    sum += power.thermal_power();
-  }
-  return sum;
-}
-
-double SimulationState::MaxPower(int cpu) const {
-  return max_power_logical_[static_cast<std::size_t>(cpu)];
 }
 
 int SimulationState::TaskCpu(const Task& task) {

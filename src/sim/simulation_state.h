@@ -65,7 +65,7 @@ struct PackageShard {
   double last_true_power;
 };
 
-class SimulationState : public BalanceEnv {
+class SimulationState final : public BalanceEnv {
  public:
   explicit SimulationState(const MachineConfig& config);
   ~SimulationState() override;
@@ -85,8 +85,12 @@ class SimulationState : public BalanceEnv {
     return *runqueue_by_cpu_[static_cast<std::size_t>(cpu)];
   }
   double RunqueuePower(int cpu) const override;
-  double ThermalPower(int cpu) const override;
-  double MaxPower(int cpu) const override;
+  double ThermalPower(int cpu) const override {
+    return power_state_by_cpu_[static_cast<std::size_t>(cpu)]->thermal_power();
+  }
+  double MaxPower(int cpu) const override {
+    return max_power_logical_[static_cast<std::size_t>(cpu)];
+  }
   bool MigrateTask(Task* task, int from, int to) override;
   bool CpuOnline(int cpu) const override {
     return cpu_online_[static_cast<std::size_t>(cpu)] != 0;
@@ -216,13 +220,29 @@ class SimulationState : public BalanceEnv {
   // --- derived quantities ---------------------------------------------------
   std::size_t num_cpus() const { return config_.topology.num_logical(); }
   std::size_t num_physical() const { return config_.topology.num_physical(); }
-  double IdlePowerPerLogical() const;
-  double MaxPowerPhysical(std::size_t physical) const;
+  // The gate, the governor and the counter sampler call these once per
+  // package-tick, so they are defined here and the class is final: calls
+  // through a SimulationState inline instead of going through the vtable.
+  double IdlePowerPerLogical() const {
+    return config_.model.halt_power() /
+           static_cast<double>(config_.topology.smt_per_physical());
+  }
+  double MaxPowerPhysical(std::size_t physical) const {
+    const int first_logical = config_.topology.LogicalId(physical, 0);
+    return max_power_logical_[static_cast<std::size_t>(first_logical)] *
+           static_cast<double>(config_.topology.smt_per_physical());
+  }
 
   // Sum of the sibling thermal powers of a package - the quantity both the
   // hlt ThrottleGate and the frequency governors compare against the
   // package budget (one definition, so the two mechanisms cannot drift).
-  double PackageThermalPower(std::size_t physical) const;
+  double PackageThermalPower(std::size_t physical) const {
+    double sum = 0.0;
+    for (const CpuPowerState& power : shards_[physical].power_states) {
+      sum += power.thermal_power();
+    }
+    return sum;
+  }
   double Temperature(std::size_t physical) const {
     return shards_[physical].thermal.temperature();
   }

@@ -21,6 +21,9 @@ namespace eas {
 
 class CoolingProfile {
  public:
+  // One entry per physical CPU, in package order.
+  explicit CoolingProfile(std::vector<ThermalParams> params);
+
   // Uniform cooling: every physical CPU gets `params`.
   static CoolingProfile Uniform(std::size_t num_physical, const ThermalParams& params);
 
@@ -34,8 +37,6 @@ class CoolingProfile {
   std::size_t num_physical() const { return params_.size(); }
 
  private:
-  explicit CoolingProfile(std::vector<ThermalParams> params);
-
   std::vector<ThermalParams> params_;
 };
 

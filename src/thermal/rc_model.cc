@@ -1,7 +1,6 @@
 #include "src/thermal/rc_model.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace eas {
 
@@ -9,33 +8,6 @@ RcThermalModel::RcThermalModel(const ThermalParams& params)
     : params_(params), temperature_(params.ambient) {
   assert(params.resistance > 0.0);
   assert(params.capacitance > 0.0);
-}
-
-void RcThermalModel::Step(double power_watts, double dt_seconds) {
-  // Exact solution of the linear ODE over the step (unconditionally stable,
-  // exact for constant power within the step):
-  //   T(t+dt) = T_ss + (T(t) - T_ss) * exp(-dt / tau)
-  const double t_ss = params_.SteadyStateTemp(power_watts);
-  const double decay = std::exp(-dt_seconds / params_.TimeConstant());
-  temperature_ = t_ss + (temperature_ - t_ss) * decay;
-}
-
-void RcThermalModel::StepN(double power_watts, double dt_seconds, std::int64_t n) {
-  // Same expressions as Step, evaluated once: std::exp is deterministic for
-  // identical arguments, so hoisting is bit-neutral. The recurrence is a
-  // contraction toward t_ss; once an iterate maps to itself exactly, every
-  // further step repeats it and the loop stops.
-  const double t_ss = params_.SteadyStateTemp(power_watts);
-  const double decay = std::exp(-dt_seconds / params_.TimeConstant());
-  double temp = temperature_;
-  for (; n > 0; --n) {
-    const double next = t_ss + (temp - t_ss) * decay;
-    if (next == temp) {
-      break;
-    }
-    temp = next;
-  }
-  temperature_ = temp;
 }
 
 }  // namespace eas

@@ -17,7 +17,7 @@
 #ifndef SRC_THERMAL_RC_MODEL_H_
 #define SRC_THERMAL_RC_MODEL_H_
 
-#include <cstdint>
+#include <cmath>
 
 namespace eas {
 
@@ -38,14 +38,29 @@ class RcThermalModel {
  public:
   explicit RcThermalModel(const ThermalParams& params);
 
-  // Advances the model by `dt_seconds` with `power_watts` dissipated.
-  void Step(double power_watts, double dt_seconds);
+  // Advances the model by `dt_seconds` with `power_watts` dissipated: the
+  // exact solution of the linear ODE over the step (unconditionally stable,
+  // exact for constant power within the step),
+  //   T(t+dt) = T_ss + (T(t) - T_ss) * exp(-dt / tau).
+  void Step(double power_watts, double dt_seconds) {
+    const double t_ss = params_.SteadyStateTemp(power_watts);
+    const double decay = Decay(dt_seconds);
+    temperature_ = t_ss + (temperature_ - t_ss) * decay;
+  }
 
-  // Advances by `n` equal steps at constant power, bit-identically to
-  // calling Step(power_watts, dt_seconds) n times. Hoists the per-step
-  // constants (identical inputs give identical t_ss and decay) and exits
-  // early once the temperature reaches its exact floating-point fixed point.
-  void StepN(double power_watts, double dt_seconds, std::int64_t n);
+  // exp(-dt / tau), memoized on `dt_seconds`: the engine steps every package
+  // by the same tick, so the exp() collapses to one compare. std::exp is
+  // deterministic for identical arguments, so the memoized value is
+  // bit-identical to recomputing it. The initial memo (dt 0, decay 1.0) is
+  // exact too: exp(-0.0) == 1.0. The skip-ahead kernel reads it to replay
+  // Step (src/sim/idle_lanes.h).
+  double Decay(double dt_seconds) {
+    if (dt_seconds != cached_dt_) {
+      cached_dt_ = dt_seconds;
+      cached_decay_ = std::exp(-dt_seconds / params_.TimeConstant());
+    }
+    return cached_decay_;
+  }
 
   // Current die temperature (deg C).
   double temperature() const { return temperature_; }
@@ -58,6 +73,8 @@ class RcThermalModel {
  private:
   ThermalParams params_;
   double temperature_;
+  double cached_dt_ = 0.0;
+  double cached_decay_ = 1.0;
 };
 
 }  // namespace eas

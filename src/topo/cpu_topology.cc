@@ -96,23 +96,8 @@ std::size_t CpuTopology::UnitOf(int logical, std::size_t level) const {
   return PhysicalOf(logical) / packages_per_unit_[level];
 }
 
-std::size_t CpuTopology::PhysicalOf(int logical) const {
-  assert(logical >= 0 && static_cast<std::size_t>(logical) < num_logical());
-  return static_cast<std::size_t>(logical) % num_physical();
-}
-
 std::size_t CpuTopology::NodeOf(int logical) const {
   return PhysicalOf(logical) / physical_per_node_;
-}
-
-std::size_t CpuTopology::ThreadOf(int logical) const {
-  return static_cast<std::size_t>(logical) / num_physical();
-}
-
-int CpuTopology::LogicalId(std::size_t physical, std::size_t thread) const {
-  assert(physical < num_physical());
-  assert(thread < smt_per_physical_);
-  return static_cast<int>(thread * num_physical() + physical);
 }
 
 std::vector<int> CpuTopology::SiblingsOf(int logical) const {

@@ -14,6 +14,7 @@
 #ifndef SRC_TOPO_CPU_TOPOLOGY_H_
 #define SRC_TOPO_CPU_TOPOLOGY_H_
 
+#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -67,16 +68,25 @@ class CpuTopology {
   std::size_t num_logical() const { return num_physical_ * smt_per_physical_; }
 
   // Physical package of a logical CPU.
-  std::size_t PhysicalOf(int logical) const;
+  std::size_t PhysicalOf(int logical) const {
+    assert(logical >= 0 && static_cast<std::size_t>(logical) < num_logical());
+    return static_cast<std::size_t>(logical) % num_physical();
+  }
 
   // NUMA node of a logical CPU.
   std::size_t NodeOf(int logical) const;
 
   // SMT thread index (0 .. smt_per_physical-1) of a logical CPU.
-  std::size_t ThreadOf(int logical) const;
+  std::size_t ThreadOf(int logical) const {
+    return static_cast<std::size_t>(logical) / num_physical();
+  }
 
   // Logical CPU id for (physical package, thread index).
-  int LogicalId(std::size_t physical, std::size_t thread) const;
+  int LogicalId(std::size_t physical, std::size_t thread) const {
+    assert(physical < num_physical());
+    assert(thread < smt_per_physical_);
+    return static_cast<int>(thread * num_physical() + physical);
+  }
 
   // All logical CPUs on the same physical package as `logical` (includes it).
   std::vector<int> SiblingsOf(int logical) const;

@@ -4,9 +4,11 @@
 // actually engage on sparse workloads (fewer observer invocations than
 // ticks, not just equal results).
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include "src/sim/experiment_runner.h"
 #include "src/sim/machine.h"
 #include "src/sim/scenario.h"
+#include "src/thermal/cooling_profile.h"
+#include "src/topo/cpu_topology.h"
 
 namespace eas {
 namespace {
@@ -135,6 +139,8 @@ class CountingObserver : public TickObserver {
   std::int64_t calls_ = 0;
 };
 
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
 Program MakeCronProgram(const EnergyModel& model) {
   EventRates signature{};
   signature.fill(1.0);
@@ -145,50 +151,86 @@ Program MakeCronProgram(const EnergyModel& model) {
   return Program("cron", 0xc407, {burst}, /*total_work_ticks=*/0);
 }
 
+// The machines the closed-form kernel must cover: its lane count is
+// logical CPUs plus packages, so SMT, an odd total (an inert padding lane)
+// and a single CPU exercise different lane layouts; a per-package time
+// constant gives every package lane its own decay.
+std::vector<std::pair<std::string, MachineConfig>> SparseMachines() {
+  std::vector<std::pair<std::string, MachineConfig>> machines;
+  machines.emplace_back("default 8x1", MachineConfig{});
+
+  MachineConfig smt;
+  smt.topology = CpuTopology::PaperXSeries445(/*smt_enabled=*/true);
+  machines.emplace_back("paper box with SMT", smt);
+
+  for (const char* spec : {"1:3:2", "1:1:1"}) {
+    std::string error;
+    MachineConfig config;
+    config.topology = ParseTopologySpec(spec, &error).value();
+    config.cooling = CoolingProfile::Uniform(config.topology.num_physical(), ThermalParams{});
+    machines.emplace_back(spec, config);
+  }
+
+  MachineConfig mixed_tau;
+  std::vector<ThermalParams> params;
+  for (std::size_t phys = 0; phys < mixed_tau.topology.num_physical(); ++phys) {
+    ThermalParams p;
+    p.resistance = 0.25 + 0.02 * static_cast<double>(phys);
+    p.capacitance = (4.0 + 1.5 * static_cast<double>(phys)) / p.resistance;
+    params.push_back(p);
+  }
+  mixed_tau.cooling = CoolingProfile(params);
+  machines.emplace_back("per-package time constants", mixed_tau);
+  return machines;
+}
+
 TEST(SkipAheadTest, FastPathEngagesOnSparseWorkloadAndMatchesNaive) {
   const EnergyModel model = EnergyModel::Default();
   const Program cron = MakeCronProgram(model);
   constexpr Tick kTicks = 50'000;
 
-  MachineConfig skip_config;  // default machine: ungoverned, throttle off
-  skip_config.estimator_weights = model.weights();
-  skip_config.skip_ahead = true;
-  MachineConfig naive_config = skip_config;
-  naive_config.skip_ahead = false;
+  for (const auto& [label, machine] : SparseMachines()) {
+    SCOPED_TRACE(label);
+    MachineConfig skip_config = machine;  // ungoverned, throttle off
+    skip_config.estimator_weights = model.weights();
+    skip_config.skip_ahead = true;
+    MachineConfig naive_config = skip_config;
+    naive_config.skip_ahead = false;
 
-  Machine skip_machine(skip_config);
-  Machine naive_machine(naive_config);
-  CountingObserver skip_observer;
-  CountingObserver naive_observer;
-  skip_machine.engine().AddObserver(&skip_observer);
-  naive_machine.engine().AddObserver(&naive_observer);
-  for (int i = 0; i < 3; ++i) {
-    skip_machine.Spawn(cron);
-    naive_machine.Spawn(cron);
-  }
-  skip_machine.Run(kTicks);
-  naive_machine.Run(kTicks);
+    Machine skip_machine(skip_config);
+    Machine naive_machine(naive_config);
+    CountingObserver skip_observer;
+    CountingObserver naive_observer;
+    skip_machine.engine().AddObserver(&skip_observer);
+    naive_machine.engine().AddObserver(&naive_observer);
+    for (int i = 0; i < 3; ++i) {
+      skip_machine.Spawn(cron);
+      naive_machine.Spawn(cron);
+    }
+    skip_machine.Run(kTicks);
+    naive_machine.Run(kTicks);
 
-  // Engagement: the naive loop observes every tick, the skip loop only
-  // span boundaries plus the busy ticks - a mostly-sleeping workload must
-  // collapse most of the run into spans.
-  EXPECT_EQ(naive_observer.calls(), kTicks);
-  EXPECT_LT(skip_observer.calls(), kTicks / 2);
+    // Engagement: the naive loop observes every tick, the skip loop only
+    // span boundaries plus the busy ticks - a mostly-sleeping workload must
+    // collapse most of the run into spans.
+    EXPECT_EQ(naive_observer.calls(), kTicks);
+    EXPECT_LT(skip_observer.calls(), kTicks / 2);
 
-  // And the end states still match bitwise, analog state included.
-  SimulationState& a = skip_machine.state();
-  SimulationState& b = naive_machine.state();
-  EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.TotalWorkDone(), b.TotalWorkDone());
-  EXPECT_EQ(a.TotalTaskEnergy(), b.TotalTaskEnergy());
-  EXPECT_EQ(a.migration_count(), b.migration_count());
-  for (std::size_t phys = 0; phys < a.num_physical(); ++phys) {
-    EXPECT_EQ(a.Temperature(phys), b.Temperature(phys)) << phys;
-    EXPECT_EQ(a.TruePower(phys), b.TruePower(phys)) << phys;
-  }
-  for (std::size_t cpu = 0; cpu < a.num_cpus(); ++cpu) {
-    EXPECT_EQ(a.ThermalPower(static_cast<int>(cpu)), b.ThermalPower(static_cast<int>(cpu)))
-        << cpu;
+    // And the end states still match bitwise, analog state included.
+    SimulationState& a = skip_machine.state();
+    SimulationState& b = naive_machine.state();
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_EQ(Bits(a.TotalWorkDone()), Bits(b.TotalWorkDone()));
+    EXPECT_EQ(Bits(a.TotalTaskEnergy()), Bits(b.TotalTaskEnergy()));
+    EXPECT_EQ(a.migration_count(), b.migration_count());
+    for (std::size_t phys = 0; phys < a.num_physical(); ++phys) {
+      EXPECT_EQ(Bits(a.Temperature(phys)), Bits(b.Temperature(phys))) << "package " << phys;
+      EXPECT_EQ(Bits(a.TruePower(phys)), Bits(b.TruePower(phys))) << "package " << phys;
+    }
+    for (std::size_t cpu = 0; cpu < a.num_cpus(); ++cpu) {
+      const int id = static_cast<int>(cpu);
+      EXPECT_EQ(Bits(a.ThermalPower(id)), Bits(b.ThermalPower(id))) << "cpu " << cpu;
+    }
   }
 }
 

@@ -26,7 +26,7 @@ bench_compare = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_compare)
 
 
-def tick_hot_path_doc(rate=1000.0, identical=True, ticks=5000):
+def tick_hot_path_doc(rate=1000.0, identical=True, ticks=5000, sparse_speedup=30.0):
     return {
         "bench": "tick_hot_path",
         "ticks": ticks,
@@ -35,7 +35,8 @@ def tick_hot_path_doc(rate=1000.0, identical=True, ticks=5000):
         "build_type": "Release",
         "populations": [
             {"name": "light_64", "engine_ticks_per_second": rate, "identical": identical},
-            {"name": "sparse_idle", "engine_ticks_per_second": rate * 4, "identical": identical},
+            {"name": "sparse_idle", "engine_ticks_per_second": rate * 4, "identical": identical,
+             "speedup": sparse_speedup},
         ],
     }
 
@@ -156,6 +157,25 @@ class TickHotPathTest(unittest.TestCase):
         gate = run_gate(bench_compare.compare_tick_hot_path,
                         tick_hot_path_doc(identical=True), tick_hot_path_doc(identical=False))
         self.assertTrue(any("bit-identical" in f for f in gate.failures))
+
+    def test_sparse_idle_speedup_below_floor_fails(self):
+        # 1.0x is what the row reads when skip-ahead no longer engages; the
+        # floor gates the current run alone, whatever the baseline recorded.
+        gate = run_gate(bench_compare.compare_tick_hot_path,
+                        tick_hot_path_doc(), tick_hot_path_doc(sparse_speedup=1.0))
+        self.assertTrue(any("speedup[sparse_idle]" in f for f in gate.failures))
+
+    def test_sparse_idle_speedup_at_floor_passes_against_any_baseline(self):
+        gate = run_gate(bench_compare.compare_tick_hot_path,
+                        tick_hot_path_doc(sparse_speedup=1.0),
+                        tick_hot_path_doc(sparse_speedup=10.0))
+        self.assertEqual(gate.failures, [])
+
+    def test_sparse_idle_row_without_speedup_fails(self):
+        current = tick_hot_path_doc()
+        del current["populations"][1]["speedup"]
+        gate = run_gate(bench_compare.compare_tick_hot_path, tick_hot_path_doc(), current)
+        self.assertTrue(any("speedup[sparse_idle]" in f for f in gate.failures))
 
     def test_missing_baseline_row_fails(self):
         current = tick_hot_path_doc()

@@ -13,7 +13,11 @@ environment variable - CI runners are noisy, calibrate there, not here):
   tick_hot_path:  engine_ticks_per_second per named row (the population rows
                   plus the sparse_idle skip-ahead row), and every row's
                   bit-identity cross-check (engine vs scan, skip vs naive)
-                  must still report identical states.
+                  must still report identical states. The sparse_idle row's
+                  in-run speedup (skip-ahead vs naive ticking, measured in
+                  the same process) must also stay at or above a fixed
+                  floor - a ratio that means the same on any runner, so it
+                  needs no baseline.
   sweep_scaling:  single_thread_ticks_per_second, and the sweep must still be
                   deterministic across thread counts.
   governor_sweep: simulated throughput (work-ticks/s) per governor x policy
@@ -147,10 +151,26 @@ class Gate:
             )
         self.lines.append(f"  {name}: {baseline:.0f} -> {current:.0f} ({change:+.1%}) {verdict}")
 
+    def floor(self, name, value, minimum):
+        """A ratio measured within one run (an optimized path against its
+        reference, same process, same machine) must not fall below a fixed
+        floor. Unlike an absolute rate it is portable across runners, so it
+        gates without a baseline."""
+        verdict = "ok" if value >= minimum else "BELOW FLOOR"
+        self.lines.append(f"  {name}: {value:.2f}x (floor {minimum:.0f}x) {verdict}")
+        if value < minimum:
+            self.failures.append(f"{name}: {value:.2f}x is below its {minimum:.0f}x floor")
+
     def invariant(self, name, holds):
         self.lines.append(f"  {name}: {'ok' if holds else 'VIOLATED'}")
         if not holds:
             self.failures.append(f"{name} no longer holds")
+
+
+# Skip-ahead vs naive ticking on the sparse_idle row, both measured in the
+# same bench process: ~20-30x with the closed-form kernel's scalar loops,
+# ~60x with its register lanes, ~1x if the fast path stops engaging.
+SPARSE_IDLE_MIN_SPEEDUP = 10.0
 
 
 def compare_tick_hot_path(baseline, current, gate):
@@ -162,6 +182,8 @@ def compare_tick_hot_path(baseline, current, gate):
     gate.rows(base_rows, [row["name"] for row in current.get("populations", [])])
     for row in current.get("populations", []):
         name = row["name"]
+        if name == "sparse_idle":
+            gate.floor(f"speedup[{name}]", row.get("speedup", 0.0), SPARSE_IDLE_MIN_SPEEDUP)
         base = base_rows.get(name)
         if base is None:
             continue  # warned and skipped via the rows check
