@@ -5,108 +5,90 @@
 // an armed FaultPhase through every tick; "chaos" is the scenario's full
 // baked-in plan (hotplug churn, thermal spikes, P-state clamps).
 //
-// The bench asserts the fault-layer contract in-process: an armed-but-idle
-// plan must leave the simulated physics bit-identical to the fault-free run
-// (the fault columns are the only difference), and that verdict is emitted
-// as the armed-idle row's "identical_physics" field so the CI gate fails if
-// it ever stops holding. Wall ticks/s per row is what makes idle overhead
-// visible: a regression in the armed-idle rate against the fault-free
-// baseline rate means the fault layer started costing ticks it did not
-// before.
+// The bench asserts the fault-layer contract in-process as checks: an
+// armed-but-idle plan must leave the simulated physics bit-identical to the
+// fault-free run (the fault columns are the only difference) and fire
+// nothing, the chaos plan must fire, and the fault-free row must carry no
+// fault columns. Wall ticks/s per row is what makes idle overhead visible: a
+// regression in the armed-idle rate against the baseline rate means the
+// fault layer started costing ticks it did not before.
 //
-// Writes BENCH_chaos.json (JSONL: config header, one record per row with
-// simulated throughput + wall rate + fault counters, a wall-clock trailer).
-// CI gates it against bench/baselines/ with tools/bench_compare.py.
+// Writes BENCH_chaos.json (bench/harness.h schema: per row simulated
+// throughput, wall rate and fault counters). CI gates it against
+// bench/baselines/ with tools/bench_compare.py.
 //
 //   $ bench_chaos_overhead [--duration=20000] [--threads=0] [--out=BENCH_chaos.json]
 
 #include <algorithm>
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/api/run_session.h"
-#include "src/base/flags.h"
 
 namespace {
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
 
 // One clause, parked far past any horizon this bench runs: the FaultPhase
 // is armed (skip-ahead stays bounded, the ledger ticks) but never reacts.
 constexpr const char kNeverFiring[] = "off:0@900000000";
 
-struct Row {
+struct Plan {
   std::string name;
   const char* faults;  // nullptr = inherit the scenario's plan
 };
 }  // namespace
 
 int main(int argc, char** argv) {
-  const eas::FlagParser flags(argc, argv);
-  const std::vector<std::string> unknown = flags.UnknownFlags({"duration", "threads", "out"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s (known: --duration --threads --out)\n",
-                 unknown.front().c_str());
-    return 1;
-  }
+  const eas::FlagParser flags =
+      eas::bench::ParseFlags(argc, argv, {"duration", "threads", "out"});
   const eas::Tick duration = flags.GetInt("duration", 20'000);
   const std::size_t threads =
       static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
   const std::string out = flags.GetString("out", "BENCH_chaos.json");
 
-  const Row rows[] = {
+  const Plan plans[] = {
       {"fault-free", "none"},
       {"armed-idle", kNeverFiring},
       {"chaos", nullptr},
   };
 
   eas::RunSession session(threads);
-  eas::JsonlSink jsonl(out);
-  char header[224];
-  std::snprintf(header, sizeof(header),
-                "{\"bench\": \"chaos_overhead\", \"scenario\": \"chaos-soak\", "
-                "\"duration_ticks\": %lld, \"threads\": %zu, \"build_type\": \"%s\"}",
-                static_cast<long long>(duration), session.runner().num_threads(), kBuildType);
-  jsonl.AppendLine(header);
 
   std::printf("== chaos overhead: chaos-soak x 3 fault plans, %lld ticks ==\n\n",
               static_cast<long long>(duration));
 
   std::vector<eas::RunRecord> records;
   std::vector<double> wall_rates;
-  const auto bench_start = std::chrono::steady_clock::now();
-  for (const Row& row : rows) {
+  const eas::bench::Stopwatch bench_clock;
+  for (const Plan& plan : plans) {
     eas::RunRequest request = eas::RunRequestForScenario("chaos-soak");
-    request.name = row.name;
-    if (row.faults != nullptr) {
-      request.faults = row.faults;
+    request.name = plan.name;
+    if (plan.faults != nullptr) {
+      request.faults = plan.faults;
     }
     if (duration > 0) {
       request.duration_s = static_cast<double>(duration) / 1000.0;
     }
     auto resolved = eas::ResolveRunRequest(request);
     if (!resolved.ok()) {
-      std::fprintf(stderr, "resolve %s: %s\n", row.name.c_str(),
+      std::fprintf(stderr, "resolve %s: %s\n", plan.name.c_str(),
                    resolved.error().Render().c_str());
       return 1;
     }
     std::vector<eas::ResolvedRequest> batch;
     batch.push_back(std::move(*resolved));
-    const auto start = std::chrono::steady_clock::now();
+    const eas::bench::Stopwatch clock;
     std::vector<eas::RunRecord> ran = session.Run(batch);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    const double elapsed = clock.Seconds();
     if (ran.size() != 1) {
-      std::fprintf(stderr, "%s: expected 1 record, got %zu\n", row.name.c_str(), ran.size());
+      std::fprintf(stderr, "%s: expected 1 record, got %zu\n", plan.name.c_str(), ran.size());
       return 1;
     }
-    wall_rates.push_back(elapsed > 0 ? static_cast<double>(duration) / elapsed : 0.0);
+    wall_rates.push_back(eas::bench::Ratio(static_cast<double>(duration), elapsed));
     records.push_back(std::move(ran.front()));
   }
 
@@ -121,49 +103,35 @@ int main(int argc, char** argv) {
                                  clean.AverageFrequencyMultiplier() ==
                                      idle.AverageFrequencyMultiplier();
 
+  eas::bench::Report report("chaos_overhead");
+  report.Config("scenario", "chaos-soak")
+      .Config("duration_ticks", duration)
+      .Config("threads", session.runner().num_threads())
+      .Config("build_type", eas::bench::kBuildType)
+      .Info("wall_seconds", bench_clock.Seconds());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const eas::RunRecord& record = records[i];
-    char line[384];
-    int n = std::snprintf(line, sizeof(line),
-                          "{\"name\": \"%s\", \"throughput\": %.6f, "
-                          "\"wall_ticks_per_second\": %.1f",
-                          record.spec.name.c_str(), record.result.Throughput(),
-                          wall_rates[i]);
-    if (record.result.faults_fired.has_value()) {
-      n += std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n),
-                         ", \"faults_fired\": %lld",
-                         static_cast<long long>(*record.result.faults_fired));
-    }
-    if (record.result.offline_cpu_ticks.has_value()) {
-      n += std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n),
-                         ", \"offline_cpu_ticks\": %lld",
-                         static_cast<long long>(*record.result.offline_cpu_ticks));
-    }
-    if (record.spec.name == "armed-idle") {
-      n += std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n),
-                         ", \"identical_physics\": %s", identical_physics ? "true" : "false");
-    }
-    std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n), "}");
-    jsonl.AppendLine(line);
+    const std::optional<std::int64_t>& fired = record.result.faults_fired;
     std::printf("  %-12s %9.1f work-ticks/s  %10.0f wall-ticks/s  %lld faults\n",
                 record.spec.name.c_str(), record.result.Throughput(), wall_rates[i],
-                static_cast<long long>(record.result.faults_fired.value_or(0)));
+                static_cast<long long>(fired.value_or(0)));
+    eas::bench::Row row(record.spec.name);
+    if (fired.has_value()) {
+      row.Info("faults_fired", *fired);
+    }
+    if (record.result.offline_cpu_ticks.has_value()) {
+      row.Info("offline_cpu_ticks", *record.result.offline_cpu_ticks);
+    }
+    row.Sim("throughput", record.result.Throughput())
+        .Wall("wall_ticks_per_second", wall_rates[i]);
+    if (record.spec.name == "fault-free") {
+      row.Check("no_fault_columns", !fired.has_value());
+    } else if (record.spec.name == "armed-idle") {
+      row.Check("identical_physics", identical_physics).Check("fires_nothing", fired == 0);
+    } else {
+      row.Check("fires_faults", fired.value_or(0) > 0);
+    }
+    report.Add(row);
   }
-  if (!identical_physics) {
-    std::fprintf(stderr, "\narmed-idle run diverged from the fault-free run\n");
-  }
-
-  const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                       bench_start)
-                             .count();
-  char trailer[96];
-  std::snprintf(trailer, sizeof(trailer), "{\"wall_seconds\": %.4f}", elapsed);
-  jsonl.AppendLine(trailer);
-  jsonl.Finish();
-  if (!jsonl.ok()) {
-    std::fprintf(stderr, "%s\n", jsonl.error().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%.1f s wall)\n", out.c_str(), elapsed);
-  return identical_physics ? 0 : 1;
+  return report.Write(out);
 }

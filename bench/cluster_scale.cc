@@ -11,35 +11,28 @@
 // policy->Balance() sweep over every CPU at 128 and at 1024 CPUs, cache
 // invalidated between sweeps. With per-domain aggregate rollups one pass
 // costs O(fanout x depth), so the per-pass cost must stay near-constant as
-// the machine grows 8x; the balance_scaling row asserts the measured ratio
-// stays sublinear (< 4x for 8x the CPUs).
+// the machine grows 8x; the balance_scaling row bounds the measured ratio
+// below half the CPU ratio (< 4x for 8x the CPUs).
 //
 //   $ bench_cluster_scale [--ticks=2000] [--out=BENCH_cluster_scale.json]
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/api/run_request.h"
-#include "src/base/flags.h"
 #include "src/core/policy_registry.h"
 #include "src/counters/energy_model.h"
-#include "src/sim/csv_export.h"
 #include "src/sim/simulation_engine.h"
 #include "src/workloads/programs.h"
 
 namespace {
 
 using eas::Tick;
-
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
+using eas::bench::Ratio;
 
 // 2 racks x 4 boards x 16 nodes x 4 packages x SMT-2 = 512 physical, 1024
 // logical - the ISSUE's 1k-CPU point. The balance probe's small machine is
@@ -47,10 +40,6 @@ constexpr const char kBuildType[] = "debug";
 // changes, not the tree depth.
 constexpr const char kClusterTopology[] = "2:4:16:4:2";
 constexpr const char kSmallTopology[] = "2:2:4:4:2";
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 eas::MachineConfig BenchConfig(const char* topology) {
   auto resolved = eas::ResolveRunRequest(*eas::ParseRunRequest(
@@ -104,12 +93,11 @@ TickRow MeasureTick(const eas::ProgramLibrary& library, Tick ticks) {
   eas::SimulationState state(config);
   eas::SimulationEngine engine(config.sched);
   SpawnClusterPopulation(state, library);
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   for (Tick t = 0; t < ticks; ++t) {
     engine.Tick(state);
   }
-  const double seconds = SecondsSince(start);
-  row.ticks_per_second = seconds > 0.0 ? static_cast<double>(ticks) / seconds : 0.0;
+  row.ticks_per_second = Ratio(static_cast<double>(ticks), clock.Seconds());
   return row;
 }
 
@@ -140,29 +128,23 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
   auto policy = eas::BalancePolicyRegistry::Global().CreateOrThrow(
       eas::EffectiveBalancerName(config.sched), config.sched);
   const int logical = static_cast<int>(config.topology.num_logical());
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   for (int sweep = 0; sweep < sweeps; ++sweep) {
     for (int cpu = 0; cpu < logical; ++cpu) {
       policy->Balance(cpu, state);
     }
     state.AdvanceTick();
   }
-  const double seconds = SecondsSince(start);
+  const double seconds = clock.Seconds();
   row.passes = static_cast<long long>(sweeps) * logical;
-  row.passes_per_second = seconds > 0.0 ? static_cast<double>(row.passes) / seconds : 0.0;
+  row.passes_per_second = Ratio(static_cast<double>(row.passes), seconds);
   return row;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const eas::FlagParser flags(argc, argv);
-  const std::vector<std::string> unknown = flags.UnknownFlags({"ticks", "out"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s (known: --ticks --out)\n",
-                 unknown.front().c_str());
-    return 1;
-  }
+  const eas::FlagParser flags = eas::bench::ParseFlags(argc, argv, {"ticks", "out"});
   const Tick ticks = std::max<Tick>(1, flags.GetInt("ticks", 2'000));
   const std::string out = flags.GetString("out", "BENCH_cluster_scale.json");
 
@@ -172,7 +154,7 @@ int main(int argc, char** argv) {
   std::printf("== cluster scale: %lld ticks at 1024 logical CPUs ==\n\n",
               static_cast<long long>(ticks));
 
-  const auto bench_start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch bench_clock;
 
   const TickRow tick = MeasureTick(library, ticks);
 
@@ -189,57 +171,35 @@ int main(int argc, char** argv) {
   // per-pass cost; cpu_ratio = per-pass cost growing linearly with machine
   // size (a flat O(cpus) scan). Sublinear means staying well under cpu_ratio.
   const double per_pass_cost_ratio =
-      balance_large.passes_per_second > 0.0
-          ? balance_small.passes_per_second / balance_large.passes_per_second
-          : 0.0;
-  const bool sublinear =
-      per_pass_cost_ratio > 0.0 && per_pass_cost_ratio < cpu_ratio / 2.0;
+      Ratio(balance_small.passes_per_second, balance_large.passes_per_second);
+  const double max_cost_ratio = cpu_ratio / 2.0;
 
-  const double wall_seconds = SecondsSince(bench_start);
+  eas::bench::Report report("cluster_scale");
+  report.Config("ticks", ticks)
+      .Config("balance_sweeps", sweeps)
+      .Config("threads", 1)
+      .Config("build_type", eas::bench::kBuildType)
+      .Info("wall_seconds", bench_clock.Seconds());
 
   std::printf("  %-12s  %6s  %14s\n", "row", "cpus", "ticks/s");
   std::printf("  %-12s  %6zu  %14.1f\n", tick.name.c_str(), tick.cpus, tick.ticks_per_second);
+  report.Add(eas::bench::Row(tick.name)
+                 .Info("cpus", tick.cpus)
+                 .Info("ticks", tick.ticks)
+                 .Wall("ticks_per_second", tick.ticks_per_second));
   std::printf("\n  %-12s  %6s  %10s  %16s\n", "row", "cpus", "passes", "passes/s");
-  const BalanceRow* balance_rows[] = {&balance_small, &balance_large};
-  for (const BalanceRow* row : balance_rows) {
+  for (const BalanceRow* row : {&balance_small, &balance_large}) {
     std::printf("  %-12s  %6zu  %10lld  %16.0f\n", row->name.c_str(), row->cpus, row->passes,
                 row->passes_per_second);
+    report.Add(eas::bench::Row(row->name)
+                   .Info("cpus", row->cpus)
+                   .Info("passes", row->passes)
+                   .Wall("passes_per_second", row->passes_per_second));
   }
   std::printf("\n  balance per-pass cost x%.2f for x%.0f CPUs -> %s\n", per_pass_cost_ratio,
-              cpu_ratio, sublinear ? "sublinear" : "NOT SUBLINEAR");
-
-  std::string json = "{\n  \"bench\": \"cluster_scale\",\n  \"ticks\": " +
-                     std::to_string(static_cast<long long>(ticks)) +
-                     ",\n  \"balance_sweeps\": " + std::to_string(sweeps) +
-                     ",\n  \"threads\": 1,\n  \"build_type\": \"" + kBuildType +
-                     "\",\n  \"rows\": [\n";
-  char entry[320];
-  std::snprintf(entry, sizeof(entry),
-                "    {\"name\": \"%s\", \"cpus\": %zu, \"ticks\": %lld, "
-                "\"ticks_per_second\": %.1f},\n",
-                tick.name.c_str(), tick.cpus, static_cast<long long>(tick.ticks),
-                tick.ticks_per_second);
-  json += entry;
-  for (const BalanceRow* row : balance_rows) {
-    std::snprintf(entry, sizeof(entry),
-                  "    {\"name\": \"%s\", \"cpus\": %zu, \"passes\": %lld, "
-                  "\"passes_per_second\": %.0f},\n",
-                  row->name.c_str(), row->cpus, row->passes, row->passes_per_second);
-    json += entry;
-  }
-  std::snprintf(entry, sizeof(entry),
-                "    {\"name\": \"balance_scaling\", \"cpu_ratio\": %.1f, "
-                "\"per_pass_cost_ratio\": %.3f, \"sublinear\": %s}\n",
-                cpu_ratio, per_pass_cost_ratio, sublinear ? "true" : "false");
-  json += entry;
-  char tail[64];
-  std::snprintf(tail, sizeof(tail), "  ],\n  \"wall_seconds\": %.4f\n}\n", wall_seconds);
-  json += tail;
-
-  if (!eas::WriteFile(out, json)) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", out.c_str());
-  return 0;
+              cpu_ratio, per_pass_cost_ratio < max_cost_ratio ? "sublinear" : "NOT SUBLINEAR");
+  report.Add(eas::bench::Row("balance_scaling")
+                 .Info("cpu_ratio", cpu_ratio)
+                 .Below("per_pass_cost_ratio", per_pass_cost_ratio, max_cost_ratio));
+  return report.Write(out);
 }

@@ -6,41 +6,27 @@
 // baseline, the governed rows show how much halting each governor trades
 // for lower frequency.
 //
-// Writes BENCH_governors.json (JSONL: config header, one record per run
-// with every metric-schema scalar plus the request that reproduces it, a
-// wall-clock trailer). CI gates it against bench/baselines/ with
+// Writes BENCH_governors.json (bench/harness.h schema): one row per run
+// carrying its record (every metric-schema scalar plus the request that
+// reproduces it). CI gates it against bench/baselines/ with
 // tools/bench_compare.py - the simulation is deterministic, so the per-row
 // throughput values are comparable across machines.
 //
 //   $ bench_governor_sweep [--duration=40000] [--threads=0] [--out=BENCH_governors.json]
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/api/run_session.h"
-#include "src/base/flags.h"
 #include "src/core/policy_registry.h"
 #include "src/freq/governor_registry.h"
 
-namespace {
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-}  // namespace
-
 int main(int argc, char** argv) {
-  const eas::FlagParser flags(argc, argv);
-  const std::vector<std::string> unknown = flags.UnknownFlags({"duration", "threads", "out"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s (known: --duration --threads --out)\n",
-                 unknown.front().c_str());
-    return 1;
-  }
+  const eas::FlagParser flags =
+      eas::bench::ParseFlags(argc, argv, {"duration", "threads", "out"});
   const eas::Tick duration = flags.GetInt("duration", 40'000);
   const std::size_t threads =
       static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
@@ -78,36 +64,30 @@ int main(int argc, char** argv) {
   std::printf("== governor sweep: %zu governors x %zu policies ==\n\n", governors.size(),
               policies.size());
 
-  eas::JsonlSink jsonl(out);
   eas::RunSession session(threads);
-  session.AddSink(jsonl);
-  char header[224];
-  std::snprintf(header, sizeof(header),
-                "{\"bench\": \"governor_sweep\", \"scenario\": \"governor-comparison\", "
-                "\"duration_ticks\": %lld, \"threads\": %zu, \"build_type\": \"%s\"}",
-                static_cast<long long>(duration), session.runner().num_threads(), kBuildType);
-  jsonl.AppendLine(header);
-
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   const std::vector<eas::RunRecord> records = session.Run(resolved);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const double elapsed = clock.Seconds();
 
+  eas::bench::Report report("governor_sweep");
+  report.Config("scenario", "governor-comparison")
+      .Config("duration_ticks", duration)
+      .Info("threads", session.runner().num_threads())
+      .Info("build_type", eas::bench::kBuildType)
+      .Info("wall_seconds", elapsed);
   for (const eas::RunRecord& record : records) {
     std::printf("  %-32s %9.1f work-ticks/s  %5.2f%% throttled  %.3fx avg freq\n",
                 record.spec.name.c_str(), record.result.Throughput(),
                 record.result.AverageThrottledFraction() * 100,
                 record.result.AverageFrequencyMultiplier());
+    // The DVFS presence rule: governed rows carry the avg_frequency columns,
+    // pure-hlt "none" rows must not grow them.
+    const bool governed = record.spec.config.frequency_governor != "none";
+    report.Add(eas::bench::Row(record.spec.name)
+                   .Record(eas::JsonlRecordLine(record))
+                   .Sim("throughput", record.result.Throughput())
+                   .Check("dvfs_columns_iff_governed",
+                          record.result.average_frequency.empty() != governed));
   }
-
-  char trailer[96];
-  std::snprintf(trailer, sizeof(trailer), "{\"wall_seconds\": %.4f}", elapsed);
-  jsonl.AppendLine(trailer);
-  jsonl.Finish();
-  if (!jsonl.ok()) {
-    std::fprintf(stderr, "%s\n", jsonl.error().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%.1f s wall)\n", out.c_str(), elapsed);
-  return 0;
+  return report.Write(out);
 }

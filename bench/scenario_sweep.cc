@@ -2,9 +2,8 @@
 // balancing policy, described as canned RunRequests and fanned through one
 // RunSession. The cross-product is the "does every workload still behave"
 // regression net - run it per change and compare the BENCH_scenarios.json it
-// writes (JSONL: a config header line, one record per run with every
-// metric-schema scalar plus the request that reproduces it, a wall-clock
-// trailer).
+// writes (bench/harness.h schema, ungated: one row per run carrying its
+// record, every metric-schema scalar plus the request that reproduces it).
 //
 //   $ bench_scenario_sweep [--duration=40000] [--threads=0] [--out=BENCH_scenarios.json]
 //
@@ -12,24 +11,18 @@
 // own, paper-length duration).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/api/run_session.h"
-#include "src/base/flags.h"
 #include "src/core/policy_registry.h"
 #include "src/sim/scenario.h"
 
 int main(int argc, char** argv) {
-  const eas::FlagParser flags(argc, argv);
-  const std::vector<std::string> unknown = flags.UnknownFlags({"duration", "threads", "out"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s (known: --duration --threads --out)\n",
-                 unknown.front().c_str());
-    return 1;
-  }
+  const eas::FlagParser flags =
+      eas::bench::ParseFlags(argc, argv, {"duration", "threads", "out"});
   const eas::Tick duration = flags.GetInt("duration", 40'000);
   const std::size_t threads =
       static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
@@ -62,35 +55,20 @@ int main(int argc, char** argv) {
   std::printf("== scenario sweep: %zu scenarios x %zu policies ==\n\n",
               resolved.size() / policies.size(), policies.size());
 
-  eas::JsonlSink jsonl(out);
   eas::RunSession session(threads);
-  session.AddSink(jsonl);
-  char header[160];
-  std::snprintf(header, sizeof(header),
-                "{\"bench\": \"scenario_sweep\", \"duration_ticks\": %lld, \"threads\": %zu}",
-                static_cast<long long>(duration), session.runner().num_threads());
-  jsonl.AppendLine(header);
-
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   const std::vector<eas::RunRecord> records = session.Run(resolved);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
+  eas::bench::Report report("scenario_sweep");
+  report.Config("duration_ticks", duration)
+      .Info("threads", session.runner().num_threads())
+      .Info("wall_seconds", clock.Seconds());
   for (const eas::RunRecord& record : records) {
     std::printf("  %-40s %9.1f work-ticks/s  %5lld migr  %5.2f%% throttled\n",
                 record.spec.name.c_str(), record.result.Throughput(),
                 static_cast<long long>(record.result.migrations),
                 record.result.AverageThrottledFraction() * 100);
+    report.Add(eas::bench::Row(record.spec.name).Record(eas::JsonlRecordLine(record)));
   }
-
-  char trailer[96];
-  std::snprintf(trailer, sizeof(trailer), "{\"wall_seconds\": %.4f}", elapsed);
-  jsonl.AppendLine(trailer);
-  jsonl.Finish();
-  if (!jsonl.ok()) {
-    std::fprintf(stderr, "%s\n", jsonl.error().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%.1f s wall)\n", out.c_str(), elapsed);
-  return 0;
+  return report.Write(out);
 }

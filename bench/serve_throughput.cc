@@ -16,36 +16,24 @@
 //
 // --eastool enables the fork_per_run leg (ctest and CI pass the built
 // binary); without it only the warm legs run. --duration is simulated
-// milliseconds per request; the JSON records the configuration so
-// tools/bench_compare.py refuses mismatched comparisons.
+// milliseconds per request. The bench exits 1 when a leg's bytes differ from
+// the warm service's.
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/base/flags.h"
+#include "bench/harness.h"
 #include "src/service/experiment_server.h"
 #include "src/service/service_client.h"
 
 namespace {
-
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 std::vector<std::string> MakeRequests(int count, long long duration_ms) {
   std::vector<std::string> texts;
@@ -75,7 +63,7 @@ LegResult RunWarmService(const std::vector<std::string>& texts, std::size_t work
 
   std::mutex mutex;
   std::map<std::uint64_t, std::string> by_submission;
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   for (const std::string& text : texts) {
     auto submitted = service.Submit(text, [&](const eas::StreamedRecord& record) {
       std::lock_guard<std::mutex> lock(mutex);
@@ -89,7 +77,7 @@ LegResult RunWarmService(const std::vector<std::string>& texts, std::size_t work
   service.Drain();
 
   LegResult leg;
-  leg.seconds = SecondsSince(start);
+  leg.seconds = clock.Seconds();
   for (const auto& [submission, line] : by_submission) {
     leg.lines.push_back(line);  // ids ascend in submit order
   }
@@ -115,11 +103,11 @@ LegResult RunWarmSocket(const std::vector<std::string>& texts, std::size_t worke
     std::exit(1);
   }
   std::map<std::uint64_t, std::string> by_submission;
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   auto outcome = client->SubmitAndStream(texts, [&](const eas::ClientRecord& record) {
     by_submission[record.submission] = record.jsonl;
   });
-  const double seconds = SecondsSince(start);
+  const double seconds = clock.Seconds();
   if (!outcome.ok()) {
     std::fprintf(stderr, "warm_socket submit: %s\n", outcome.error().Render().c_str());
     std::exit(1);
@@ -137,7 +125,7 @@ LegResult RunWarmSocket(const std::vector<std::string>& texts, std::size_t worke
 LegResult RunForkPerRun(const std::vector<std::string>& texts, const std::string& eastool) {
   const std::string stem = "/tmp/eas_bench_fork_" + std::to_string(::getpid());
   LegResult leg;
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   for (std::size_t i = 0; i < texts.size(); ++i) {
     const std::string request_path = stem + "_" + std::to_string(i) + ".txt";
     const std::string jsonl_path = stem + "_" + std::to_string(i) + ".jsonl";
@@ -158,26 +146,15 @@ LegResult RunForkPerRun(const std::vector<std::string>& texts, const std::string
     std::remove(request_path.c_str());
     std::remove(jsonl_path.c_str());
   }
-  leg.seconds = SecondsSince(start);
+  leg.seconds = clock.Seconds();
   return leg;
-}
-
-double RequestsPerSecond(std::size_t requests, double seconds) {
-  return seconds > 0.0 ? static_cast<double>(requests) / seconds : 0.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const eas::FlagParser flags(argc, argv);
-  const std::vector<std::string> unknown =
-      flags.UnknownFlags({"requests", "duration", "threads", "eastool", "out"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr,
-                 "unknown flag --%s (known: --requests --duration --threads --eastool --out)\n",
-                 unknown.front().c_str());
-    return 1;
-  }
+  const eas::FlagParser flags = eas::bench::ParseFlags(
+      argc, argv, {"requests", "duration", "threads", "eastool", "out"});
   const int requests = std::max(1, static_cast<int>(flags.GetInt("requests", 24)));
   const long long duration_ms = std::max(1LL, static_cast<long long>(flags.GetInt("duration", 2000)));
   const std::size_t workers =
@@ -190,75 +167,32 @@ int main(int argc, char** argv) {
   std::printf("== serve throughput: %d requests x %lld ms simulated ==\n\n", requests,
               duration_ms);
 
+  eas::bench::Report report("serve_throughput");
+  report.Config("requests", requests)
+      .Config("duration_ms", duration_ms)
+      .Config("threads", workers)
+      .Config("build_type", eas::bench::kBuildType);
+  // warm_service is the reference every other leg's bytes must match.
   const LegResult warm_service = RunWarmService(texts, workers);
-  std::printf("  warm_service: %7.3f s  (%.1f requests/s)\n", warm_service.seconds,
-              RequestsPerSecond(texts.size(), warm_service.seconds));
-
-  const LegResult warm_socket = RunWarmSocket(texts, workers);
-  std::printf("  warm_socket : %7.3f s  (%.1f requests/s)\n", warm_socket.seconds,
-              RequestsPerSecond(texts.size(), warm_socket.seconds));
-
-  const bool socket_identical = warm_socket.lines == warm_service.lines;
-  if (!socket_identical) {
-    std::printf("  WARNING: socket bytes differ from in-process bytes!\n");
-  }
-
-  LegResult fork;
-  bool fork_identical = false;
-  if (!eastool.empty()) {
-    fork = RunForkPerRun(texts, eastool);
-    std::printf("  fork_per_run: %7.3f s  (%.1f requests/s)\n", fork.seconds,
-                RequestsPerSecond(texts.size(), fork.seconds));
-    fork_identical = fork.lines == warm_service.lines;
-    if (!fork_identical) {
-      std::printf("  WARNING: fork-per-run bytes differ from warm-service bytes!\n");
+  const auto add_leg = [&](const char* name, const LegResult& leg) {
+    const double rate = eas::bench::Ratio(static_cast<double>(texts.size()), leg.seconds);
+    std::printf("  %-12s: %7.3f s  (%.1f requests/s)\n", name, leg.seconds, rate);
+    eas::bench::Row row(name);
+    row.Info("seconds", leg.seconds).Wall("requests_per_second", rate);
+    if (&leg != &warm_service) {
+      row.Check("identical", leg.lines == warm_service.lines);
     }
-    const double speedup =
-        fork.seconds > 0.0 && warm_service.seconds > 0.0 ? fork.seconds / warm_service.seconds
-                                                         : 0.0;
-    std::printf("  warm-service speedup over fork-per-run: %.1fx\n", speedup);
+    report.Add(row);
+  };
+  add_leg("warm_service", warm_service);
+  add_leg("warm_socket", RunWarmSocket(texts, workers));
+  if (!eastool.empty()) {
+    const LegResult fork = RunForkPerRun(texts, eastool);
+    add_leg("fork_per_run", fork);
+    std::printf("  warm-service speedup over fork-per-run: %.1fx\n",
+                eas::bench::Ratio(fork.seconds, warm_service.seconds));
   } else {
     std::printf("  fork_per_run: skipped (pass --eastool=PATH to measure it)\n");
   }
-
-  std::ostringstream json;
-  char row[256];
-  json << "{\n"
-       << "  \"bench\": \"serve_throughput\",\n"
-       << "  \"requests\": " << requests << ",\n"
-       << "  \"duration_ms\": " << duration_ms << ",\n"
-       << "  \"threads\": " << workers << ",\n"
-       << "  \"build_type\": \"" << kBuildType << "\",\n"
-       << "  \"rows\": [\n";
-  std::snprintf(row, sizeof(row),
-                "    {\"name\": \"warm_service\", \"seconds\": %.4f, "
-                "\"requests_per_second\": %.2f, \"identical\": true},\n",
-                warm_service.seconds, RequestsPerSecond(texts.size(), warm_service.seconds));
-  json << row;
-  std::snprintf(row, sizeof(row),
-                "    {\"name\": \"warm_socket\", \"seconds\": %.4f, "
-                "\"requests_per_second\": %.2f, \"identical\": %s}",
-                warm_socket.seconds, RequestsPerSecond(texts.size(), warm_socket.seconds),
-                socket_identical ? "true" : "false");
-  json << row;
-  if (!eastool.empty()) {
-    std::snprintf(row, sizeof(row),
-                  ",\n    {\"name\": \"fork_per_run\", \"seconds\": %.4f, "
-                  "\"requests_per_second\": %.2f, \"identical\": %s}",
-                  fork.seconds, RequestsPerSecond(texts.size(), fork.seconds),
-                  fork_identical ? "true" : "false");
-    json << row;
-  }
-  json << "\n  ]\n}\n";
-
-  std::FILE* file = std::fopen(out.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
-  const std::string text = json.str();
-  std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  std::printf("\nwrote %s\n", out.c_str());
-  return (socket_identical && (eastool.empty() || fork_identical)) ? 0 : 1;
+  return report.Write(out);
 }

@@ -6,31 +6,19 @@
 //   $ bench_sweep_scaling [--runs=12] [--duration=40000] [--threads=0]
 //                         [--out=BENCH_sweep_scaling.json]
 //
-// --threads pins the multi-thread leg (0 = all hardware threads); the JSON
-// records it plus the build type so tools/bench_compare.py can refuse to
-// diff runs measured under different configurations.
+// --threads pins the multi-thread leg (0 = all hardware threads); the
+// report's config records it plus the build type, and the bench exits 1 when
+// the two legs' aggregate work differs.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/api/run_request.h"
-#include "src/base/flags.h"
-#include "src/sim/csv_export.h"
 
 namespace {
-
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 std::vector<eas::ExperimentSpec> MakeSweep(int runs, eas::Tick duration) {
   // The sweep described as a request (the same one `eastool --request`
@@ -57,9 +45,9 @@ std::vector<eas::ExperimentSpec> MakeSweep(int runs, eas::Tick duration) {
 double TimeSweep(const std::vector<eas::ExperimentSpec>& specs, std::size_t threads,
                  double* work_done) {
   const eas::ExperimentRunner runner(threads);
-  const auto start = std::chrono::steady_clock::now();
+  const eas::bench::Stopwatch clock;
   const std::vector<eas::RunResult> results = runner.RunAll(specs);
-  const double elapsed = SecondsSince(start);
+  const double elapsed = clock.Seconds();
   *work_done = 0.0;
   for (const eas::RunResult& result : results) {
     *work_done += result.work_done_ticks;
@@ -70,14 +58,8 @@ double TimeSweep(const std::vector<eas::ExperimentSpec>& specs, std::size_t thre
 }  // namespace
 
 int main(int argc, char** argv) {
-  const eas::FlagParser flags(argc, argv);
-  const std::vector<std::string> unknown =
-      flags.UnknownFlags({"runs", "duration", "threads", "out"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s (known: --runs --duration --threads --out)\n",
-                 unknown.front().c_str());
-    return 1;
-  }
+  const eas::FlagParser flags =
+      eas::bench::ParseFlags(argc, argv, {"runs", "duration", "threads", "out"});
   const int runs = std::max(1, static_cast<int>(flags.GetInt("runs", 12)));
   const eas::Tick duration = std::max<eas::Tick>(1, flags.GetInt("duration", 40'000));
   const std::size_t requested =
@@ -99,35 +81,22 @@ int main(int argc, char** argv) {
   const double multi = TimeSweep(specs, hardware, &work_multi);
   std::printf("  %zu threads: %7.2f s  (%.0f work ticks)\n", hardware, multi, work_multi);
 
-  const double speedup = multi > 0.0 ? single / multi : 0.0;
-  const double ticks_per_second =
-      single > 0.0 ? static_cast<double>(runs) * static_cast<double>(duration) / single : 0.0;
+  const double speedup = eas::bench::Ratio(single, multi);
+  const double ticks_per_second = eas::bench::Ratio(
+      static_cast<double>(runs) * static_cast<double>(duration), single);
   std::printf("  speedup  : %6.2fx\n", speedup);
   std::printf("  1-thread engine rate: %.0f machine-ticks/s\n", ticks_per_second);
-  if (work_single != work_multi) {
-    std::printf("  WARNING: aggregate work differs across thread counts!\n");
-  }
 
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n"
-                "  \"bench\": \"sweep_scaling\",\n"
-                "  \"runs\": %d,\n"
-                "  \"duration_ticks\": %lld,\n"
-                "  \"threads\": %zu,\n"
-                "  \"build_type\": \"%s\",\n"
-                "  \"single_thread_seconds\": %.4f,\n"
-                "  \"multi_thread_seconds\": %.4f,\n"
-                "  \"speedup\": %.4f,\n"
-                "  \"single_thread_ticks_per_second\": %.0f,\n"
-                "  \"deterministic_across_threads\": %s\n"
-                "}\n",
-                runs, static_cast<long long>(duration), hardware, kBuildType, single, multi,
-                speedup, ticks_per_second, work_single == work_multi ? "true" : "false");
-  if (!eas::WriteFile(out, json)) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", out.c_str());
-  return 0;
+  eas::bench::Report report("sweep_scaling");
+  report.Config("runs", runs)
+      .Config("duration_ticks", duration)
+      .Config("threads", hardware)
+      .Config("build_type", eas::bench::kBuildType)
+      .Add(eas::bench::Row("sweep")
+               .Info("single_thread_seconds", single)
+               .Info("multi_thread_seconds", multi)
+               .Info("speedup", speedup)
+               .Wall("single_thread_ticks_per_second", ticks_per_second)
+               .Check("deterministic_across_threads", work_single == work_multi));
+  return report.Write(out);
 }

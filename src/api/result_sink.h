@@ -8,7 +8,7 @@
 //   CsvSink       the summary/trace CSVs eastool always wrote - byte-
 //                 identical for a single run, one row / one trace file per
 //                 run for sweeps
-//   JsonlSink     one JSON object per record (the bench report format);
+//   JsonlSink     one JSON object per record (the record wire format);
 //                 path "-" streams to stdout
 //   AsciiPlotSink a thermal-power plot per record, to a borrowed stdio
 //                 stream or an owned file path
@@ -21,8 +21,8 @@
 // (src/sim/metrics.h), so sinks never special-case governed vs ungoverned
 // runs. Lifecycle: Begin(total) before the first record, Consume per
 // record, Finish once by the owner when done (RunSession calls Begin and
-// Consume; callers call Finish, which lets them append trailer content
-// first). File sinks report I/O failure through ok()/error().
+// Consume; callers call Finish). File sinks report I/O failure through
+// ok()/error().
 
 #ifndef SRC_API_RESULT_SINK_H_
 #define SRC_API_RESULT_SINK_H_
@@ -52,12 +52,6 @@ class ResultSink {
   // Called once by the sink's owner after the last record; flushes and
   // closes. Idempotent.
   virtual void Finish() {}
-
-  // Writes one raw line around the records (bench sweeps put their run
-  // configuration first and wall-clock totals last). Sinks whose format has
-  // no place for free-form lines ignore it, so callers can hold any sink by
-  // base pointer and still annotate.
-  virtual void AppendLine(const std::string& /*line*/) {}
 
   // False after an I/O failure; error() names the path and the offense.
   virtual bool ok() const { return true; }
@@ -130,9 +124,10 @@ class JsonlSink : public ResultSink {
   bool ok() const override { return error_.empty(); }
   std::string error() const override { return error_; }
 
-  // Writes one raw line (a complete JSON object) to the stream. Opens the
-  // stream if Begin has not run yet.
-  void AppendLine(const std::string& json_object) override;
+  // Writes one already-rendered line (a complete JSON object) to the
+  // stream, opening it if Begin has not run yet: how `eastool submit`
+  // writes records that arrived over the wire.
+  void AppendLine(const std::string& json_object);
 
  private:
   void EnsureOpen();

@@ -550,6 +550,10 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   if (request.runs < 1) {
     return MakeError(RequestErrorCode::kBadValue, "runs", "bad runs: want >= 1");
   }
+  if (request.runs > kMaxRuns) {
+    return MakeError(RequestErrorCode::kBadValue, "runs",
+                     "bad runs: at most " + std::to_string(kMaxRuns) + " per request");
+  }
   resolved.specs = request.runs == 1
                        ? std::vector<ExperimentSpec>{std::move(spec)}
                        : ExperimentRunner::SeedSweep(spec, static_cast<std::size_t>(request.runs));

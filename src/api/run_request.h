@@ -99,11 +99,16 @@ struct RunRequest {
   std::optional<std::uint64_t> seed;  // base seed (default 42)
 
   // Seed-sweep width: the request expands into `runs` specs seeded
-  // [seed, seed + runs).
+  // [seed, seed + runs), at most kMaxRuns.
   std::uint64_t runs = 1;
 
   bool operator==(const RunRequest&) const = default;
 };
+
+// The widest seed sweep one request may expand into. `runs` arrives from
+// untrusted request text and serve wire lines, and every run is a full
+// ExperimentSpec, so an unbounded value exhausts memory in the expansion.
+inline constexpr std::uint64_t kMaxRuns = 10'000;
 
 // Parses the `key = value` request text; a RequestError naming the line and
 // the offense on unknown/duplicate keys or malformed values.

@@ -418,6 +418,28 @@ TEST(RunRequestResolveTest, RunsExpandIntoASeedSweep) {
   EXPECT_EQ(resolved->specs[2].name, "cli/seed12");
 }
 
+TEST(RunRequestResolveTest, RunsAreBounded) {
+  // Programmatic requests skip the parser, so the bound is enforced in
+  // resolve: the widest sweep expands, anything wider is a structured
+  // rejection instead of a seed-sweep allocation that exhausts memory.
+  RunRequest request;
+  request.duration_s = 0.001;
+  request.runs = kMaxRuns;
+  const auto at_limit = ResolveRunRequest(request);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error().Render();
+  EXPECT_EQ(at_limit->specs.size(), kMaxRuns);
+
+  request.runs = kMaxRuns + 1;
+  RequestError error = ResolveErr(request);
+  EXPECT_EQ(error.code, RequestErrorCode::kBadValue);
+  EXPECT_EQ(error.key, "runs");
+  EXPECT_NE(error.Render().find(std::to_string(kMaxRuns)), std::string::npos) << error.Render();
+
+  error = ResolveErr(ParseOk("runs = 100000000000"));
+  EXPECT_EQ(error.code, RequestErrorCode::kBadValue);
+  EXPECT_EQ(error.key, "runs");
+}
+
 TEST(RunRequestResolveTest, RejectionsDiagnose) {
   RunRequest request;
 

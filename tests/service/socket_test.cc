@@ -143,6 +143,24 @@ TEST(ExperimentServerTest, RejectionsTravelAsStructuredErrors) {
   EXPECT_EQ(retry->records, 1u);
 }
 
+TEST(ExperimentServerTest, OverBoundRunsGetAnErrorAndServingContinues) {
+  const std::string socket_path = SocketPath("runs");
+  auto server = ExperimentServer::Start(QuickServer(socket_path));
+  ASSERT_TRUE(server.ok()) << server.error().Render();
+
+  auto client = ServiceClient::Connect(socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().Render();
+  const auto rejected = client->SubmitAndStream({"runs = 100000000000"}, nullptr);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, RequestErrorCode::kBadValue);
+  EXPECT_EQ(rejected.error().key, "runs");
+
+  const auto next = client->SubmitAndStream(
+      {"topology = 1:2:1; workload = hot:2; duration-s = 2"}, nullptr);
+  ASSERT_TRUE(next.ok()) << next.error().Render();
+  EXPECT_EQ(next->records, 1u);
+}
+
 TEST(ExperimentServerTest, StatusVerbReportsCounters) {
   const std::string socket_path = SocketPath("status");
   auto server = ExperimentServer::Start(QuickServer(socket_path));
