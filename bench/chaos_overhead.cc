@@ -9,9 +9,11 @@
 // armed-but-idle plan must leave the simulated physics bit-identical to the
 // fault-free run (the fault columns are the only difference) and fire
 // nothing, the chaos plan must fire, and the fault-free row must carry no
-// fault columns. Wall ticks/s per row is what makes idle overhead visible: a
-// regression in the armed-idle rate against the baseline rate means the
-// fault layer started costing ticks it did not before.
+// fault columns. What makes idle overhead visible is a same-run ratio: the
+// armed-idle wall rate over the fault-free wall rate, from interleaved
+// timed runs. A ratio below its floor means the armed fault layer started
+// costing ticks it did not before, on any runner; the absolute rates
+// (each plan's median run) are informational.
 //
 // Writes BENCH_chaos.json (bench/harness.h schema: per row simulated
 // throughput, wall rate and fault counters). CI gates it against
@@ -35,6 +37,23 @@ namespace {
 // One clause, parked far past any horizon this bench runs: the FaultPhase
 // is armed (skip-ahead stays bounded, the ledger ticks) but never reacts.
 constexpr const char kNeverFiring[] = "off:0@900000000";
+
+// Every plan runs this many times, the plans interleaved round by round.
+// The ratio is the median of the per-round ratios: the two runs of a round
+// are adjacent in time, so a host whose speed drifts slows both alike, and
+// the median drops the round one of them was preempted in.
+constexpr int kTimedRounds = 5;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// Armed-idle over fault-free wall rate: 0.86-1.01 (median 0.90) over 20
+// runs on a 4-core Xeon (Release, --duration=20000 --threads=1). A spin
+// injected into every armed tick reads 0.74-0.76 at about a fifth more cost
+// per tick and 0.65-0.68 at about a third more, so the floor trips on both.
+constexpr double kArmedIdleMinRateRatio = 0.78;
 
 struct Plan {
   std::string name;
@@ -61,9 +80,7 @@ int main(int argc, char** argv) {
   std::printf("== chaos overhead: chaos-soak x 3 fault plans, %lld ticks ==\n\n",
               static_cast<long long>(duration));
 
-  std::vector<eas::RunRecord> records;
-  std::vector<double> wall_rates;
-  const eas::bench::Stopwatch bench_clock;
+  std::vector<eas::ResolvedRequest> requests;
   for (const Plan& plan : plans) {
     eas::RunRequest request = eas::RunRequestForScenario("chaos-soak");
     request.name = plan.name;
@@ -79,18 +96,38 @@ int main(int argc, char** argv) {
                    resolved.error().Render().c_str());
       return 1;
     }
-    std::vector<eas::ResolvedRequest> batch;
-    batch.push_back(std::move(*resolved));
-    const eas::bench::Stopwatch clock;
-    std::vector<eas::RunRecord> ran = session.Run(batch);
-    const double elapsed = clock.Seconds();
-    if (ran.size() != 1) {
-      std::fprintf(stderr, "%s: expected 1 record, got %zu\n", plan.name.c_str(), ran.size());
-      return 1;
-    }
-    wall_rates.push_back(eas::bench::Ratio(static_cast<double>(duration), elapsed));
-    records.push_back(std::move(ran.front()));
+    requests.push_back(std::move(*resolved));
   }
+
+  std::vector<eas::RunRecord> records(requests.size());
+  // seconds[plan][round]
+  std::vector<std::vector<double>> seconds(requests.size());
+  const eas::bench::Stopwatch bench_clock;
+  for (int round = 0; round < kTimedRounds; ++round) {
+    for (std::size_t p = 0; p < requests.size(); ++p) {
+      const std::vector<eas::ResolvedRequest> batch = {requests[p]};
+      const eas::bench::Stopwatch clock;
+      std::vector<eas::RunRecord> ran = session.Run(batch);
+      seconds[p].push_back(clock.Seconds());
+      if (ran.size() != 1) {
+        std::fprintf(stderr, "%s: expected 1 record, got %zu\n", plans[p].name.c_str(),
+                     ran.size());
+        return 1;
+      }
+      if (round == 0) {
+        records[p] = std::move(ran.front());
+      }
+    }
+  }
+  std::vector<double> wall_rates;
+  for (const std::vector<double>& runs : seconds) {
+    wall_rates.push_back(eas::bench::Ratio(static_cast<double>(duration), Median(runs)));
+  }
+  std::vector<double> round_ratios;
+  for (int round = 0; round < kTimedRounds; ++round) {
+    round_ratios.push_back(eas::bench::Ratio(seconds[0][round], seconds[1][round]));
+  }
+  const double armed_idle_rate_ratio = Median(round_ratios);
 
   // The armed-but-idle contract: a plan that never fires must leave every
   // simulated quantity bit-identical to the fault-free run - the fault
@@ -122,16 +159,18 @@ int main(int argc, char** argv) {
     if (record.result.offline_cpu_ticks.has_value()) {
       row.Info("offline_cpu_ticks", *record.result.offline_cpu_ticks);
     }
-    row.Sim("throughput", record.result.Throughput())
-        .Wall("wall_ticks_per_second", wall_rates[i]);
+    row.Info("wall_ticks_per_second", wall_rates[i]).Sim("throughput", record.result.Throughput());
     if (record.spec.name == "fault-free") {
       row.Check("no_fault_columns", !fired.has_value());
     } else if (record.spec.name == "armed-idle") {
-      row.Check("identical_physics", identical_physics).Check("fires_nothing", fired == 0);
+      row.AtLeast("rate_vs_fault_free", armed_idle_rate_ratio, kArmedIdleMinRateRatio)
+          .Check("identical_physics", identical_physics)
+          .Check("fires_nothing", fired == 0);
     } else {
       row.Check("fires_faults", fired.value_or(0) > 0);
     }
     report.Add(row);
   }
+  std::printf("\n  armed-idle / fault-free wall rate: %.3f\n", armed_idle_rate_ratio);
   return report.Write(out);
 }

@@ -1,5 +1,6 @@
 #include "src/base/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace eas {
@@ -13,8 +14,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -24,50 +23,56 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits.
-  return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0);
-}
-
-double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
 std::uint64_t Rng::NextBelow(std::uint64_t n) {
   // Rejection-free for our purposes; bias is negligible for small n.
   return NextU64() % n;
 }
 
-double Rng::NextGaussian() {
-  if (has_spare_gaussian_) {
+void Rng::FillGaussians(double* out, std::size_t n) {
+  std::size_t i = 0;
+  if (n > 0 && has_spare_gaussian_) {
     has_spare_gaussian_ = false;
-    return spare_gaussian_;
+    out[i++] = spare_gaussian_;
   }
-  double u;
-  double v;
-  double s;
-  do {
-    u = Uniform(-1.0, 1.0);
-    v = Uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_gaussian_ = v * factor;
-  has_spare_gaussian_ = true;
-  return u * factor;
+  // Scratch for one block. Only entries below `accepted` are read, each
+  // after it is written; zeroing the arrays would cost ~15% of a block.
+  double us[kFillBlockPairs];
+  double vs[kFillBlockPairs];
+  double ss[kFillBlockPairs];
+  double factors[kFillBlockPairs];
+  while (i < n) {
+    // Each accepted candidate yields two normals, so ceil(owed / 2)
+    // candidates is the fewest the sequential calls could consume.
+    const std::size_t candidates = std::min(kFillBlockPairs, (n - i + 1) / 2);
+    std::size_t accepted = 0;
+    for (std::size_t c = 0; c < candidates; ++c) {
+      const double u = Uniform(-1.0, 1.0);
+      const double v = Uniform(-1.0, 1.0);
+      const double s = u * u + v * v;
+      us[accepted] = u;
+      vs[accepted] = v;
+      ss[accepted] = s;
+      accepted += static_cast<std::size_t>(s < 1.0 && s != 0.0);
+    }
+    for (std::size_t a = 0; a < accepted; ++a) {
+      factors[a] = std::log(ss[a]);
+    }
+    for (std::size_t a = 0; a < accepted; ++a) {
+      factors[a] = std::sqrt(-2.0 * factors[a] / ss[a]);
+    }
+    for (std::size_t a = 0; a < accepted; ++a) {
+      out[i++] = us[a] * factors[a];
+      if (i == n) {
+        // Only the block's last accepted pair can overshoot n, by one: its
+        // second normal becomes the pending spare, as sequentially.
+        spare_gaussian_ = vs[a] * factors[a];
+        has_spare_gaussian_ = true;
+        break;
+      }
+      out[i++] = vs[a] * factors[a];
+    }
+  }
 }
-
-double Rng::Gaussian(double mean, double stddev) { return mean + stddev * NextGaussian(); }
 
 bool Rng::Chance(double p) { return NextDouble() < p; }
 

@@ -2,12 +2,6 @@
 
 namespace eas {
 
-void CounterBlock::Accumulate(const EventVector& events) {
-  for (std::size_t i = 0; i < kNumEventTypes; ++i) {
-    values_[i] += events[i];
-  }
-}
-
 EventVector CounterBlock::DiffSince(const EventVector& since) const {
   EventVector diff{};
   for (std::size_t i = 0; i < kNumEventTypes; ++i) {

@@ -15,7 +15,11 @@ namespace eas {
 class CounterBlock {
  public:
   // Accumulates the events of one execution period onto the counters.
-  void Accumulate(const EventVector& events);
+  void Accumulate(const EventVector& events) {
+    for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+      values_[i] += events[i];
+    }
+  }
 
   // Returns the current (monotonic) counter values.
   const EventVector& values() const { return values_; }

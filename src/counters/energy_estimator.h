@@ -25,7 +25,13 @@ class EnergyEstimator {
   static EnergyEstimator Oracle(const EnergyModel& model, std::size_t smt_siblings);
 
   // Dynamic energy attributed to a counter diff.
-  double EstimateDynamicEnergy(const EventVector& counter_diff) const;
+  double EstimateDynamicEnergy(const EventVector& counter_diff) const {
+    double energy = 0.0;
+    for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+      energy += weights_[i] * counter_diff[i];
+    }
+    return energy;
+  }
 
   // Dynamic energy under DVFS: `energy_scale` is the current P-state's
   // per-event factor (V^2). The simulated kernel knows the P-state it

@@ -25,14 +25,6 @@ EnergyModel::EnergyModel(const EventWeights& weights, double active_base_power_w
       active_base_power_watts_(active_base_power_watts),
       halt_power_watts_(halt_power_watts) {}
 
-double EnergyModel::DynamicEnergy(const EventVector& events) const {
-  double energy = 0.0;
-  for (std::size_t i = 0; i < kNumEventTypes; ++i) {
-    energy += weights_[i] * events[i];
-  }
-  return energy;
-}
-
 double EnergyModel::NominalDynamicPower(const EventRates& rates) const {
   return DynamicEnergy(rates) / kTickSeconds;
 }

@@ -28,7 +28,13 @@ class EnergyModel {
               double halt_power_watts);
 
   // Dynamic energy (J) for a batch of events.
-  double DynamicEnergy(const EventVector& events) const;
+  double DynamicEnergy(const EventVector& events) const {
+    double energy = 0.0;
+    for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+      energy += weights_[i] * events[i];
+    }
+    return energy;
+  }
 
   // Dynamic energy under DVFS: `energy_scale` is the P-state's per-event
   // factor (V^2 - the frequency factor is already in the event count, which

@@ -7,7 +7,7 @@
 namespace eas {
 
 Task::Task(TaskId id, const Program* program, std::uint64_t seed)
-    : id_(id), program_(program), rng_(seed) {
+    : id_(id), program_(program), noise_(seed) {
   EnterPhase(0);
 }
 
@@ -21,7 +21,7 @@ Tick Task::TimesliceForNice(int nice, Tick base_ticks) {
 void Task::EnterPhase(std::size_t index) {
   phase_index_ = index % program_->num_phases();
   const Phase& phase = program_->phase(phase_index_);
-  const double jitter = 1.0 + rng_.Gaussian(0.0, phase.duration_jitter);
+  const double jitter = 1.0 + noise_.Gaussian(0.0, phase.duration_jitter);
   ticks_left_in_phase_ =
       std::max<Tick>(1, static_cast<Tick>(std::lround(
                             static_cast<double>(phase.mean_duration) * std::max(0.1, jitter))));
@@ -33,7 +33,7 @@ EventVector Task::ExecuteTick(double speed_factor) {
 
   EventVector events{};
   for (std::size_t i = 0; i < kNumEventTypes; ++i) {
-    const double noise = 1.0 + rng_.Gaussian(0.0, phase.rate_noise);
+    const double noise = 1.0 + noise_.Gaussian(0.0, phase.rate_noise);
     events[i] = phase.rates[i] * speed_factor * std::max(0.0, noise);
   }
 
@@ -45,7 +45,7 @@ EventVector Task::ExecuteTick(double speed_factor) {
   --ticks_left_in_phase_;
   if (ticks_left_in_phase_ <= 0) {
     if (phase.mean_sleep_after > 0) {
-      const double jitter = 1.0 + rng_.Gaussian(0.0, 0.3);
+      const double jitter = 1.0 + noise_.Gaussian(0.0, 0.3);
       pending_sleep_ = std::max<Tick>(
           1, static_cast<Tick>(std::lround(
                  static_cast<double>(phase.mean_sleep_after) * std::max(0.1, jitter))));

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/base/rng.h"
+#include "src/base/normal_stream.h"
 #include "src/base/time.h"
 #include "src/counters/event_types.h"
 #include "src/task/energy_profile.h"
@@ -190,7 +190,9 @@ class Task {
  private:
   TaskId id_;
   const Program* program_;
-  Rng rng_;
+  // The task's private noise stream: rate noise, phase-duration and sleep
+  // jitter, in draw order.
+  NormalStream noise_;
 
   std::size_t phase_index_ = 0;
   Tick ticks_left_in_phase_ = 0;

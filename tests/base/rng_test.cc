@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
+
+#include "src/base/normal_stream.h"
 
 namespace eas {
 namespace {
@@ -105,6 +109,47 @@ TEST(RngTest, ForkProducesIndependentStream) {
     }
   }
   EXPECT_LT(equal, 3);
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The block filler's contract: the same values, bit for bit, as n
+// sequential draws, and the same end state - the pending spare and the raw
+// stream position - so a caller can mix the two freely.
+TEST(RngTest, FillGaussiansMatchesSequentialDraws) {
+  const std::size_t sizes[] = {0, 1, 2, 3, 5, 31, 32, 33, 64, 1001};
+  std::vector<double> filled;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (const bool pending_spare : {false, true}) {
+      for (const std::size_t n : sizes) {
+        Rng block(seed);
+        Rng sequential(seed);
+        if (pending_spare) {
+          ASSERT_TRUE(SameBits(block.NextGaussian(), sequential.NextGaussian()));
+        }
+        filled.assign(n, 0.0);
+        block.FillGaussians(filled.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(SameBits(filled[i], sequential.NextGaussian()))
+              << "seed " << seed << " n " << n << " spare " << pending_spare << " index " << i;
+        }
+        ASSERT_TRUE(SameBits(block.NextGaussian(), sequential.NextGaussian()))
+            << "spare state, seed " << seed << " n " << n << " spare " << pending_spare;
+        ASSERT_EQ(block.NextU64(), sequential.NextU64())
+            << "stream position, seed " << seed << " n " << n << " spare " << pending_spare;
+      }
+    }
+  }
+}
+
+TEST(NormalStreamTest, MatchesSequentialDrawsAcrossBlocks) {
+  NormalStream stream(77);
+  Rng reference(77);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(SameBits(stream.Gaussian(0.0, 0.3), reference.Gaussian(0.0, 0.3))) << i;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+
+#include "src/base/rng.h"
 
 namespace eas {
 namespace {
@@ -166,6 +172,85 @@ TEST(TaskTest, TotalEnergyAccumulates) {
   task.AccumulateEnergy(2.0);
   task.AccountActiveTick();
   EXPECT_DOUBLE_EQ(task.total_energy(), 3.0);
+}
+
+// Short, jittered, noisy phases with a sleep after the second one: every
+// draw site (rate noise, phase-duration jitter, sleep jitter) fires often.
+std::unique_ptr<Program> JitteredProgram() {
+  Phase busy;
+  busy.rates[EventIndex(EventType::kUopsRetired)] = 900.0;
+  busy.rates[EventIndex(EventType::kFpuOps)] = 300.0;
+  busy.mean_duration = 4;
+  busy.duration_jitter = 0.4;
+  busy.rate_noise = 0.05;
+  Phase blocking;
+  blocking.rates[EventIndex(EventType::kMemTransactions)] = 200.0;
+  blocking.rates[EventIndex(EventType::kStackOps)] = 50.0;
+  blocking.mean_duration = 3;
+  blocking.duration_jitter = 0.2;
+  blocking.rate_noise = 0.1;
+  blocking.mean_sleep_after = 25;
+  return std::make_unique<Program>("jittered", 4, std::vector<Phase>{busy, blocking}, 0);
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Task draws its noise through a lookahead block; a reference replaying the
+// phase machine with one Rng::Gaussian call per draw, in the original order,
+// must see exactly the same events, phase changes and sleeps.
+TEST(TaskTest, BlockDrawnNoiseMatchesSequentialReference) {
+  auto program = JitteredProgram();
+  constexpr std::uint64_t kSeed = 0x5eed;
+  Task task(1, program.get(), kSeed);
+
+  Rng reference(kSeed);
+  std::size_t phase_index = 0;
+  Tick ticks_left = 0;
+  auto enter_phase = [&](std::size_t index) {
+    phase_index = index % program->num_phases();
+    const Phase& phase = program->phase(phase_index);
+    const double jitter = 1.0 + reference.Gaussian(0.0, phase.duration_jitter);
+    ticks_left = std::max<Tick>(1, static_cast<Tick>(std::lround(
+                                       static_cast<double>(phase.mean_duration) *
+                                       std::max(0.1, jitter))));
+  };
+  enter_phase(0);
+
+  // 200 ticks draw over 1200 normals: dozens of 32-value lookahead blocks.
+  int phase_changes = 0;
+  int sleeps = 0;
+  for (int t = 0; t < 200; ++t) {
+    const double speed = (t % 3 == 0) ? 0.75 : 1.0;
+    const Phase& phase = program->phase(phase_index);
+    EventVector expected{};
+    for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+      const double noise = 1.0 + reference.Gaussian(0.0, phase.rate_noise);
+      expected[i] = phase.rates[i] * speed * std::max(0.0, noise);
+    }
+    Tick expected_sleep = 0;
+    if (--ticks_left <= 0) {
+      if (phase.mean_sleep_after > 0) {
+        const double jitter = 1.0 + reference.Gaussian(0.0, 0.3);
+        expected_sleep = std::max<Tick>(
+            1, static_cast<Tick>(std::lround(static_cast<double>(phase.mean_sleep_after) *
+                                             std::max(0.1, jitter))));
+        ++sleeps;
+      }
+      enter_phase(phase_index + 1);
+      ++phase_changes;
+    }
+
+    const EventVector events = task.ExecuteTick(speed);
+    for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+      ASSERT_TRUE(SameBits(events[i], expected[i])) << "tick " << t << " event " << i;
+    }
+    ASSERT_EQ(task.phase_index(), phase_index) << "tick " << t;
+    ASSERT_EQ(task.TakePendingSleep(), expected_sleep) << "tick " << t;
+  }
+  EXPECT_GT(phase_changes, 10);
+  EXPECT_GT(sleeps, 5);
 }
 
 }  // namespace
