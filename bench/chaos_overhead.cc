@@ -44,11 +44,6 @@ constexpr const char kNeverFiring[] = "off:0@900000000";
 // the median drops the round one of them was preempted in.
 constexpr int kTimedRounds = 5;
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
 // Armed-idle over fault-free wall rate: 0.86-1.01 (median 0.90) over 20
 // runs on a 4-core Xeon (Release, --duration=20000 --threads=1). A spin
 // injected into every armed tick reads 0.74-0.76 at about a fifth more cost
@@ -121,13 +116,14 @@ int main(int argc, char** argv) {
   }
   std::vector<double> wall_rates;
   for (const std::vector<double>& runs : seconds) {
-    wall_rates.push_back(eas::bench::Ratio(static_cast<double>(duration), Median(runs)));
+    wall_rates.push_back(
+        eas::bench::Ratio(static_cast<double>(duration), eas::bench::Median(runs)));
   }
   std::vector<double> round_ratios;
   for (int round = 0; round < kTimedRounds; ++round) {
     round_ratios.push_back(eas::bench::Ratio(seconds[0][round], seconds[1][round]));
   }
-  const double armed_idle_rate_ratio = Median(round_ratios);
+  const double armed_idle_rate_ratio = eas::bench::Median(round_ratios);
 
   // The armed-but-idle contract: a plan that never fires must leave every
   // simulated quantity bit-identical to the fault-free run - the fault

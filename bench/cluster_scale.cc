@@ -3,16 +3,17 @@
 //
 // A 1024-logical machine (five-level topology 2:4:16:4:2 - 512 physical
 // packages) carries a sleeper-heavy consolidation population, and the
-// tick_1024 row times the engine's tick over it. The regression gate
-// (tools/bench_compare.py) compares its ticks/s against the committed
-// baseline measured on the same class of machine.
+// tick_1024 row times the engine's tick over it. Its ticks/s is
+// informational: no same-run reference exists for it, and perfbench
+// (BENCHMARK.json) gates absolute rates.
 //
-// The balance rows probe the hierarchical balancer directly: a full
-// policy->Balance() sweep over every CPU at 128 and at 1024 CPUs, cache
-// invalidated between sweeps. With per-domain aggregate rollups one pass
-// costs O(fanout x depth), so the per-pass cost must stay near-constant as
-// the machine grows 8x; the balance_scaling row bounds the measured ratio
-// below half the CPU ratio (< 4x for 8x the CPUs).
+// The balance rows probe the hierarchical balancer directly: full
+// policy->Balance() sweeps over every CPU at 128 and at 1024 CPUs, the
+// same number of passes at each size, cache invalidated between sweeps.
+// With per-domain aggregate rollups one pass costs O(fanout x depth), so
+// the per-pass cost must stay near-constant as the machine grows 8x; the
+// balance_scaling row bounds the measured ratio below half the CPU ratio
+// (< 4x for 8x the CPUs) and above a floor a working clock always clears.
 //
 //   $ bench_cluster_scale [--ticks=2000] [--out=BENCH_cluster_scale.json]
 
@@ -40,6 +41,13 @@ using eas::bench::Ratio;
 // changes, not the tree depth.
 constexpr const char kClusterTopology[] = "2:4:16:4:2";
 constexpr const char kSmallTopology[] = "2:2:4:4:2";
+
+// Floor of the per-pass cost ratio (1024-CPU over 128-CPU pass cost), whose
+// ceiling is half the CPU ratio: 0.97-1.73 over 10 runs on a 4-core Xeon
+// and 1.02-2.11 over 10 runs pinned to one core (Release, --ticks=2000). A
+// flat pass over every CPU injected into Balance() reads 5.6-5.7, past the
+// ceiling; a clock that did not advance reads 0, under the floor.
+constexpr double kMinCostRatio = 0.25;
 
 eas::MachineConfig BenchConfig(const char* topology) {
   auto resolved = eas::ResolveRunRequest(*eas::ParseRunRequest(
@@ -110,9 +118,10 @@ struct BalanceRow {
 
 // Full balance sweeps over a settled machine, advancing the tick between
 // sweeps so every sweep recomputes the per-domain aggregates instead of
-// replaying the version-keyed cache.
+// replaying the version-keyed cache. Runs whole sweeps until at least
+// `passes` Balance() calls are timed.
 BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& library,
-                          int sweeps, Tick warmup_ticks) {
+                          long long passes, Tick warmup_ticks) {
   const eas::MachineConfig config = BenchConfig(topology);
   BalanceRow row;
   row.cpus = config.topology.num_logical();
@@ -128,15 +137,16 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
   auto policy = eas::BalancePolicyRegistry::Global().CreateOrThrow(
       eas::EffectiveBalancerName(config.sched), config.sched);
   const int logical = static_cast<int>(config.topology.num_logical());
+  const long long sweeps = (passes + logical - 1) / logical;
   const eas::bench::Stopwatch clock;
-  for (int sweep = 0; sweep < sweeps; ++sweep) {
+  for (long long sweep = 0; sweep < sweeps; ++sweep) {
     for (int cpu = 0; cpu < logical; ++cpu) {
       policy->Balance(cpu, state);
     }
     state.AdvanceTick();
   }
   const double seconds = clock.Seconds();
-  row.passes = static_cast<long long>(sweeps) * logical;
+  row.passes = sweeps * logical;
   row.passes_per_second = Ratio(static_cast<double>(row.passes), seconds);
   return row;
 }
@@ -158,12 +168,13 @@ int main(int argc, char** argv) {
 
   const TickRow tick = MeasureTick(library, ticks);
 
-  // Balance sweeps sized off --ticks so the smoke run stays tiny; identical
-  // sweep counts at both sizes keep the comparison clean.
-  const int sweeps = static_cast<int>(std::max<Tick>(2, ticks / 128));
+  // Balance passes sized off --ticks so the smoke run stays tiny: ticks/128
+  // sweeps of the large machine, and as many passes (8x the sweeps) on the
+  // small one, so both sizes are timed over the same work.
+  const long long passes = std::max<Tick>(2, ticks / 128) * 1024;
   const Tick warmup = std::min<Tick>(32, ticks);
-  BalanceRow balance_small = MeasureBalance(kSmallTopology, library, sweeps, warmup);
-  BalanceRow balance_large = MeasureBalance(kClusterTopology, library, sweeps, warmup);
+  BalanceRow balance_small = MeasureBalance(kSmallTopology, library, passes, warmup);
+  BalanceRow balance_large = MeasureBalance(kClusterTopology, library, passes, warmup);
 
   const double cpu_ratio =
       static_cast<double>(balance_large.cpus) / static_cast<double>(balance_small.cpus);
@@ -176,7 +187,7 @@ int main(int argc, char** argv) {
 
   eas::bench::Report report("cluster_scale");
   report.Config("ticks", ticks)
-      .Config("balance_sweeps", sweeps)
+      .Config("balance_passes", passes)
       .Config("threads", 1)
       .Config("build_type", eas::bench::kBuildType)
       .Info("wall_seconds", bench_clock.Seconds());
@@ -186,7 +197,7 @@ int main(int argc, char** argv) {
   report.Add(eas::bench::Row(tick.name)
                  .Info("cpus", tick.cpus)
                  .Info("ticks", tick.ticks)
-                 .Wall("ticks_per_second", tick.ticks_per_second));
+                 .Info("ticks_per_second", tick.ticks_per_second));
   std::printf("\n  %-12s  %6s  %10s  %16s\n", "row", "cpus", "passes", "passes/s");
   for (const BalanceRow* row : {&balance_small, &balance_large}) {
     std::printf("  %-12s  %6zu  %10lld  %16.0f\n", row->name.c_str(), row->cpus, row->passes,
@@ -194,12 +205,13 @@ int main(int argc, char** argv) {
     report.Add(eas::bench::Row(row->name)
                    .Info("cpus", row->cpus)
                    .Info("passes", row->passes)
-                   .Wall("passes_per_second", row->passes_per_second));
+                   .Info("passes_per_second", row->passes_per_second));
   }
   std::printf("\n  balance per-pass cost x%.2f for x%.0f CPUs -> %s\n", per_pass_cost_ratio,
               cpu_ratio, per_pass_cost_ratio < max_cost_ratio ? "sublinear" : "NOT SUBLINEAR");
   report.Add(eas::bench::Row("balance_scaling")
                  .Info("cpu_ratio", cpu_ratio)
-                 .Below("per_pass_cost_ratio", per_pass_cost_ratio, max_cost_ratio));
+                 .Between("per_pass_cost_ratio", per_pass_cost_ratio, kMinCostRatio,
+                          max_cost_ratio));
   return report.Write(out);
 }

@@ -12,14 +12,19 @@
 //    "<field>": ...,            informational (threads, wall_seconds, ...)
 //    "rows": [{"name": "<row>", "<field>": ...,
 //              "record": {...},  sink-driven rows: the replayable run record
-//              "gates": {"<metric>": {"value": v, "kind": "<kind>"}},
+//              "gates": {"<metric>": {"value": v, "kind": "<kind>",
+//                                     "min": lo, "max": hi}},  (a bound's sides)
 //              "checks": {"<check>": true}}]}
 //
-// Gate kinds:
-//   wall   a wall-clock rate; may fall at most 25% below the baseline
-//   sim    a deterministic simulated value; may fall at most 1% below it
+// Gate kinds, both of which mean the same on any runner:
+//   sim    a deterministic simulated value; may fall at most 1% below the
+//          baseline
 //   bound  a ratio measured within this run; must lie in [min, max), which
 //          the gate carries, whatever the baseline recorded
+//
+// Absolute wall-clock rates (ticks/s, requests/s) are informational fields:
+// they move with the runner, so their gated home is perfbench
+// (BENCHMARK.json), which measures them as parent/change pairs on one box.
 //
 // Checks are correctness verdicts (bit identity, determinism, ...). Any
 // false check makes Report::Write return 1, so every build that runs a
@@ -29,11 +34,13 @@
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -80,6 +87,12 @@ class Stopwatch {
 // is not positive (a clock that did not advance).
 inline double Ratio(double numerator, double denominator) {
   return denominator > 0.0 ? numerator / denominator : 0.0;
+}
+
+// The median of a non-empty `values` (the upper one of an even count).
+inline double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 // A JSON object under construction; fields render in insertion order.
@@ -146,13 +159,12 @@ class Row {
     return *this;
   }
 
-  Row& Wall(const std::string& metric, double value) { return Gate(metric, value, "wall"); }
   Row& Sim(const std::string& metric, double value) { return Gate(metric, value, "sim"); }
   Row& AtLeast(const std::string& metric, double value, double min) {
-    return Gate(metric, value, "bound", "min", min);
+    return Gate(metric, value, "bound", min);
   }
-  Row& Below(const std::string& metric, double value, double max) {
-    return Gate(metric, value, "bound", "max", max);
+  Row& Between(const std::string& metric, double value, double min, double max) {
+    return Gate(metric, value, "bound", min, max);
   }
 
   Row& Check(const std::string& check, bool holds) {
@@ -178,13 +190,16 @@ class Row {
   }
 
  private:
-  // `limit` names the bound's side ("min" or "max"); empty for other kinds.
+  // `min` and `max` are a bound's sides; a sim gate has neither.
   Row& Gate(const std::string& metric, double value, const char* kind,
-            const char* limit = "", double limit_value = 0.0) {
+            std::optional<double> min = std::nullopt, std::optional<double> max = std::nullopt) {
     JsonObject gate;
     gate.Add("value", value).Add("kind", kind);
-    if (*limit != '\0') {
-      gate.Add(limit, limit_value);
+    if (min.has_value()) {
+      gate.Add("min", *min);
+    }
+    if (max.has_value()) {
+      gate.Add("max", *max);
     }
     gates_.AddRaw(metric, gate.str());
     return *this;

@@ -8,16 +8,20 @@
 //   fork_per_run  one `eastool --request` process per request, the offline
 //                 workflow a sweep script would have used
 //
-// and reported as requests/s, plus the byte-identity cross-check: every
-// path must produce the same JSONL bytes, or the speedup is meaningless.
+// and reported as requests/s (informational: perfbench, BENCHMARK.json,
+// gates absolute rates), plus the byte-identity cross-check: every path must
+// produce the same JSONL bytes, or the speedup is meaningless. The gated
+// number is warm_socket's speedup_vs_fork, the daemon's rate over the
+// fork-per-run rate measured in this process: what the resident service
+// buys, on any runner.
 //
 //   $ bench_serve_throughput [--requests=24] [--duration=2000] [--threads=4]
 //                            [--eastool=PATH] [--out=BENCH_serve.json]
 //
-// --eastool enables the fork_per_run leg (ctest and CI pass the built
-// binary); without it only the warm legs run. --duration is simulated
-// milliseconds per request. The bench exits 1 when a leg's bytes differ from
-// the warm service's.
+// --eastool enables the fork_per_run leg and with it the speedup (ctest and
+// CI pass the built binary); without it only the warm legs run. --duration
+// is simulated milliseconds per request. The bench exits 1 when a leg's
+// bytes differ from the warm service's.
 
 #include <unistd.h>
 
@@ -26,6 +30,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +39,18 @@
 #include "src/service/service_client.h"
 
 namespace {
+
+// The socket and fork legs run this many times, interleaved round by round.
+// The speedup is the median of the per-round ratios: the two legs of a round
+// are adjacent in time, and the median drops a round the host preempted.
+constexpr int kTimedRounds = 5;
+
+// Warm-socket over fork-per-run rate: 6.3-10.1 over 10 runs on a 4-core
+// Xeon and 1.7-2.2 over 10 runs pinned to one core (Release, CI's flags:
+// 24 requests, 2000 ms, 4 workers). The floor holds on a 1-core runner, so
+// on the 4-core box it trips only on a gross slowdown: 3 ms more per
+// submitted request reads 0.97-1.00 there, 1 ms more reads 2.3.
+constexpr double kSocketMinSpeedupVsFork = 1.3;
 
 std::vector<std::string> MakeRequests(int count, long long duration_ms) {
   std::vector<std::string> texts;
@@ -174,24 +191,39 @@ int main(int argc, char** argv) {
       .Config("build_type", eas::bench::kBuildType);
   // warm_service is the reference every other leg's bytes must match.
   const LegResult warm_service = RunWarmService(texts, workers);
-  const auto add_leg = [&](const char* name, const LegResult& leg) {
-    const double rate = eas::bench::Ratio(static_cast<double>(texts.size()), leg.seconds);
-    std::printf("  %-12s: %7.3f s  (%.1f requests/s)\n", name, leg.seconds, rate);
+  const LegResult warm_socket = RunWarmSocket(texts, workers);
+  std::optional<LegResult> fork;
+  std::vector<double> round_speedups;
+  if (!eastool.empty()) {
+    fork = RunForkPerRun(texts, eastool);
+    round_speedups.push_back(eas::bench::Ratio(fork->seconds, warm_socket.seconds));
+    for (int round = 1; round < kTimedRounds; ++round) {
+      const double socket_seconds = RunWarmSocket(texts, workers).seconds;
+      round_speedups.push_back(
+          eas::bench::Ratio(RunForkPerRun(texts, eastool).seconds, socket_seconds));
+    }
+  }
+  const auto rate = [&](const LegResult& leg) {
+    return eas::bench::Ratio(static_cast<double>(texts.size()), leg.seconds);
+  };
+  const auto leg_row = [&](const char* name, const LegResult& leg) {
+    std::printf("  %-12s: %7.3f s  (%.1f requests/s)\n", name, leg.seconds, rate(leg));
     eas::bench::Row row(name);
-    row.Info("seconds", leg.seconds).Wall("requests_per_second", rate);
+    row.Info("seconds", leg.seconds).Info("requests_per_second", rate(leg));
     if (&leg != &warm_service) {
       row.Check("identical", leg.lines == warm_service.lines);
     }
-    report.Add(row);
+    return row;
   };
-  add_leg("warm_service", warm_service);
-  add_leg("warm_socket", RunWarmSocket(texts, workers));
-  if (!eastool.empty()) {
-    const LegResult fork = RunForkPerRun(texts, eastool);
-    add_leg("fork_per_run", fork);
-    std::printf("  warm-service speedup over fork-per-run: %.1fx\n",
-                eas::bench::Ratio(fork.seconds, warm_service.seconds));
+  report.Add(leg_row("warm_service", warm_service));
+  eas::bench::Row socket_row = leg_row("warm_socket", warm_socket);
+  if (fork.has_value()) {
+    const double speedup = eas::bench::Median(round_speedups);
+    socket_row.AtLeast("speedup_vs_fork", speedup, kSocketMinSpeedupVsFork);
+    report.Add(socket_row).Add(leg_row("fork_per_run", *fork));
+    std::printf("  warm-socket speedup over fork-per-run: %.2fx\n", speedup);
   } else {
+    report.Add(socket_row);
     std::printf("  fork_per_run: skipped (pass --eastool=PATH to measure it)\n");
   }
   return report.Write(out);

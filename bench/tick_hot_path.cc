@@ -22,9 +22,11 @@
 // naive tick loop do too (the engine's bit-identity contract), and the
 // noise row that both draw loops produce the same values, bit for bit.
 //
-// The report (bench/harness.h) gates each row's engine rate against the
-// baseline, fails on any row that is not bit-identical, and holds the sparse
-// and noise rows' in-run speedups above fixed floors.
+// The report (bench/harness.h) fails on any row that is not bit-identical
+// and holds three same-process speedups above fixed floors: engine vs scan
+// reference at 10k tasks, skip-ahead vs naive on the sparse row, and block
+// vs sequential noise draws. The absolute tick rates are informational;
+// perfbench (BENCHMARK.json) gates rates.
 
 #include <algorithm>
 #include <bit>
@@ -46,6 +48,15 @@ namespace {
 
 using eas::Tick;
 using eas::bench::Ratio;
+
+// Engine vs scan reference at 10k tasks, both measured in this process:
+// 6.1-11.8 over 20 runs on a 4-core Xeon and 5.9-8.9 over 10 runs pinned to
+// one core (Release, --ticks=20000). The engine's wake and arrival queues
+// are what keep its rate flat as tasks accumulate: a per-tick pass over
+// every task injected into the wake path reads 0.8-0.9, and a fixed cost
+// that makes the engine's tick about 2.4x slower reads 2.4-2.8.
+constexpr double kTasks10000MinSpeedup = 4.0;
+constexpr int kGatedPopulation = 10'000;
 
 // Skip-ahead vs naive ticking on the sparse_idle row, both measured in this
 // process: ~20-30x with the closed-form kernel's scalar loops, ~60x with its
@@ -115,7 +126,7 @@ struct Measurement {
   std::string name;
   int tasks = 0;
   Tick ticks = 0;
-  double engine_ticks_per_second = 0.0;  // the optimized path (always gated)
+  double engine_ticks_per_second = 0.0;  // the optimized path
   double reference_ticks_per_second = 0.0;
   const char* reference_key = "scan_ticks_per_second";
   double speedup = 0.0;
@@ -296,7 +307,7 @@ int main(int argc, char** argv) {
 
   const eas::EnergyModel model = eas::EnergyModel::Default();
   const eas::ProgramLibrary library(model);
-  constexpr int kPopulations[] = {100, 1'000, 10'000};
+  constexpr int kPopulations[] = {100, 1'000, kGatedPopulation};
   // The sparse row advances far more simulated time per wall second (that is
   // the point), so it runs a proportionally longer span for stable timing.
   const Tick sparse_ticks = ticks * 50;
@@ -328,10 +339,12 @@ int main(int argc, char** argv) {
     eas::bench::Row row(m.name);
     row.Info("tasks", m.tasks)
         .Info("ticks", m.ticks)
-        .Info(m.reference_key, m.reference_ticks_per_second)
-        .Wall("engine_ticks_per_second", m.engine_ticks_per_second);
+        .Info("engine_ticks_per_second", m.engine_ticks_per_second)
+        .Info(m.reference_key, m.reference_ticks_per_second);
     if (m.name == "sparse_idle") {
       row.AtLeast("speedup", m.speedup, kSparseIdleMinSpeedup);
+    } else if (m.tasks == kGatedPopulation) {
+      row.AtLeast("speedup", m.speedup, kTasks10000MinSpeedup);
     } else {
       row.Info("speedup", m.speedup);
     }

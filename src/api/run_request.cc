@@ -523,7 +523,9 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
     }
     if (workload.empty()) {
       return MakeError(RequestErrorCode::kBadValue, "workload",
-                       "bad workload \"" + workload_spec + "\"");
+                       "bad workload \"" + workload_spec +
+                           "\" (want a known kind, whole counts and 1 to " +
+                           std::to_string(kMaxWorkloadTasks) + " tasks)");
     }
     workload.Retain(library);
     spec.workload = std::move(workload);
@@ -553,6 +555,13 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   if (request.runs > kMaxRuns) {
     return MakeError(RequestErrorCode::kBadValue, "runs",
                      "bad runs: at most " + std::to_string(kMaxRuns) + " per request");
+  }
+  const std::uint64_t arrivals = spec.workload.size();
+  if (arrivals > kMaxRequestArrivals / request.runs) {
+    return MakeError(RequestErrorCode::kBadValue, "runs",
+                     "bad runs: " + std::to_string(request.runs) + " runs of " +
+                         std::to_string(arrivals) + " task arrivals exceed " +
+                         std::to_string(kMaxRequestArrivals) + " arrivals per request");
   }
   resolved.specs = request.runs == 1
                        ? std::vector<ExperimentSpec>{std::move(spec)}

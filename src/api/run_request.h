@@ -110,6 +110,13 @@ struct RunRequest {
 // ExperimentSpec, so an unbounded value exhausts memory in the expansion.
 inline constexpr std::uint64_t kMaxRuns = 10'000;
 
+// The most task arrivals one request may expand into, summed over its runs:
+// each run's spec holds its own copy of the workload's arrivals, so a large
+// workload times a wide sweep exhausts memory even when each is in bounds.
+// Every builtin scenario resolves at 100 runs (the widest, the ~16k-task
+// datacenter-consolidation, at 125).
+inline constexpr std::uint64_t kMaxRequestArrivals = 2'000'000;
+
 // Parses the `key = value` request text; a RequestError naming the line and
 // the offense on unknown/duplicate keys or malformed values.
 Expected<RunRequest> ParseRunRequest(const std::string& text);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -173,6 +174,13 @@ bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& libra
       }
       return false;
     }
+    if (static_cast<long long>(workload.size()) == kMaxWorkloadTasks) {
+      if (error != nullptr) {
+        *error = "line " + std::to_string(line_number) + ": more than " +
+                 std::to_string(kMaxWorkloadTasks) + " arrivals";
+      }
+      return false;
+    }
     workload.Add(*program, static_cast<Tick>(tick), static_cast<int>(nice));
   }
   *out = std::move(workload);
@@ -181,6 +189,22 @@ bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& libra
 
 bool LoadTraceWorkload(const std::string& path, const ProgramLibrary& library, Workload* out,
                        std::string* error) {
+  // Only a regular file has a size to bound and an end: opening a FIFO
+  // blocks until a writer appears, and /dev/zero never ends.
+  std::error_code code;
+  if (!std::filesystem::is_regular_file(path, code)) {
+    if (error != nullptr) {
+      *error = "cannot open " + path + " (not a regular file)";
+    }
+    return false;
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path, code);
+  if (code || size > kMaxTraceBytes) {
+    if (error != nullptr) {
+      *error = path + " holds more than " + std::to_string(kMaxTraceBytes) + " bytes";
+    }
+    return false;
+  }
   std::ifstream stream(path, std::ios::binary);
   if (!stream) {
     if (error != nullptr) {

@@ -54,12 +54,19 @@ Workload PoissonWorkload(const std::vector<const Program*>& mix, const PoissonOp
 // Parses a trace in "tick,program[,nice]" CSV form (an optional leading
 // header whose first field is literally "tick", '#' comments and blank
 // lines skipped) against `library` names. Returns
-// false and sets `error` on the first malformed line or unknown program;
-// `out` is only written on success.
+// false and sets `error` on the first malformed line, unknown program or
+// arrival past kMaxWorkloadTasks; `out` is only written on success.
 bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& library, Workload* out,
                         std::string* error);
 
-// ParseTraceWorkload over a file's contents.
+// The largest trace file LoadTraceWorkload reads: room for kMaxWorkloadTasks
+// rows of up to 64 bytes. The path comes from request text, so it may name
+// a file far larger than any trace.
+inline constexpr std::uintmax_t kMaxTraceBytes = 64u << 20;
+
+// ParseTraceWorkload over a file's contents; false with `error` set when the
+// path is not a regular file (a FIFO, a device), cannot be opened, or holds
+// more than kMaxTraceBytes.
 bool LoadTraceWorkload(const std::string& path, const ProgramLibrary& library, Workload* out,
                        std::string* error);
 

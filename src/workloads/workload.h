@@ -19,6 +19,11 @@
 
 namespace eas {
 
+// The most tasks one workload spec or trace may describe. Workload text
+// arrives from untrusted requests, and every arrival is held by every spec
+// of a sweep, so a count must be bounded before anything is allocated.
+inline constexpr long long kMaxWorkloadTasks = 1'000'000;
+
 struct TaskArrival {
   Tick tick = 0;                     // when the task is spawned (0 = run start)
   const Program* program = nullptr;  // what it executes

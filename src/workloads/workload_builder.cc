@@ -1,8 +1,8 @@
 #include "src/workloads/workload_builder.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace eas {
 
@@ -40,38 +40,73 @@ std::vector<const Program*> HotTaskWorkload(const ProgramLibrary& library, int n
   return std::vector<const Program*>(static_cast<std::size_t>(n), &library.bitcnts());
 }
 
+namespace {
+
+// Parses all of `text` as a decimal count in [min, kMaxWorkloadTasks].
+// Trailing junk ("3x", "1e3") and overflow are rejected, not read as a
+// prefix or wrapped into a small value.
+bool ParseCount(const std::string& text, long long min, long long* out) {
+  if (text.empty()) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < min || value > kMaxWorkloadTasks) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
 std::vector<const Program*> ParseWorkloadSpec(const std::string& spec,
                                               const ProgramLibrary& library) {
   const std::size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   const std::string arg = colon == std::string::npos ? "" : spec.substr(colon + 1);
   if (kind == "mixed") {
-    const int instances = arg.empty() ? 3 : std::atoi(arg.c_str());
-    return instances >= 0 ? MixedWorkload(library, instances)
-                          : std::vector<const Program*>{};
-  }
-  if (kind == "homog") {
-    int memrw = -1;
-    int pushpop = -1;
-    int bitcnts = -1;
-    if (std::sscanf(arg.c_str(), "%d,%d,%d", &memrw, &pushpop, &bitcnts) != 3 || memrw < 0 ||
-        pushpop < 0 || bitcnts < 0) {
+    long long instances = 3;
+    if (!arg.empty() && !ParseCount(arg, 0, &instances)) {
       return {};
     }
-    return HomogeneityWorkload(library, memrw, pushpop, bitcnts);
+    const auto per_instance = static_cast<long long>(library.Table2Programs().size());
+    if (instances * per_instance > kMaxWorkloadTasks) {
+      return {};
+    }
+    return MixedWorkload(library, static_cast<int>(instances));
+  }
+  if (kind == "homog") {
+    const std::size_t first = arg.find(',');
+    const std::size_t second = first == std::string::npos ? first : arg.find(',', first + 1);
+    long long memrw = 0;
+    long long pushpop = 0;
+    long long bitcnts = 0;
+    if (second == std::string::npos || !ParseCount(arg.substr(0, first), 0, &memrw) ||
+        !ParseCount(arg.substr(first + 1, second - first - 1), 0, &pushpop) ||
+        !ParseCount(arg.substr(second + 1), 0, &bitcnts) ||
+        memrw + pushpop + bitcnts > kMaxWorkloadTasks) {
+      return {};
+    }
+    return HomogeneityWorkload(library, static_cast<int>(memrw), static_cast<int>(pushpop),
+                               static_cast<int>(bitcnts));
   }
   if (kind == "hot") {
-    const int n = arg.empty() ? 1 : std::atoi(arg.c_str());
-    return n >= 0 ? HotTaskWorkload(library, n) : std::vector<const Program*>{};
+    long long n = 1;
+    if (!arg.empty() && !ParseCount(arg, 0, &n)) {
+      return {};
+    }
+    return HotTaskWorkload(library, static_cast<int>(n));
   }
   if (kind == "short") {
-    const int n = arg.empty() ? 16 : std::atoi(arg.c_str());
-    if (n < 0) {
+    long long n = 16;
+    if (!arg.empty() && !ParseCount(arg, 0, &n)) {
       return {};
     }
     std::vector<const Program*> spawn;
     spawn.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
+    for (long long i = 0; i < n; ++i) {
       spawn.push_back(i % 2 == 0 ? &library.short_hot() : &library.short_cool());
     }
     return spawn;
@@ -82,6 +117,7 @@ std::vector<const Program*> ParseWorkloadSpec(const std::string& spec,
     // (e.g. a consolidation host's service blend) declarable in request
     // files instead of requiring code.
     std::vector<const Program*> spawn;
+    long long total = 0;
     std::size_t start = 0;
     while (start <= arg.size()) {
       const std::size_t comma = arg.find(',', start);
@@ -93,26 +129,15 @@ std::vector<const Program*> ParseWorkloadSpec(const std::string& spec,
       const std::size_t star = entry.find('*');
       const std::string name = entry.substr(0, star);
       long long count = 1;
-      if (star != std::string::npos) {
-        const std::string repeat = entry.substr(star + 1);
-        char* end = nullptr;
-        errno = 0;
-        count = std::strtoll(repeat.c_str(), &end, 10);
-        // Range-checked, unlike a bare atoi: an overflowing or absurd
-        // count must be rejected, not wrapped into a small value or an
-        // attempted multi-billion-entry spawn list.
-        if (repeat.empty() || *end != '\0' || errno == ERANGE || count < 1 ||
-            count > 1'000'000) {
-          return {};
-        }
-      }
-      const Program* program = library.ByName(name);
-      if (program == nullptr) {
+      if (star != std::string::npos && !ParseCount(entry.substr(star + 1), 1, &count)) {
         return {};
       }
-      for (long long i = 0; i < count; ++i) {
-        spawn.push_back(program);
+      total += count;
+      const Program* program = library.ByName(name);
+      if (program == nullptr || total > kMaxWorkloadTasks) {
+        return {};
       }
+      spawn.insert(spawn.end(), static_cast<std::size_t>(count), program);
       if (comma == std::string::npos) {
         break;
       }

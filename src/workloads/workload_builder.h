@@ -7,6 +7,7 @@
 
 #include "src/task/program.h"
 #include "src/workloads/programs.h"
+#include "src/workloads/workload.h"
 
 namespace eas {
 
@@ -30,7 +31,9 @@ std::vector<const Program*> HotTaskWorkload(const ProgramLibrary& library, int n
 //   "short:<n>"                    - alternating short_hot/short_cool tasks
 //   "list:<name>[*<count>],..."    - explicit spawn list by program name
 //                                    (e.g. "list:bitcnts*8,memrw*12,sshd*4")
-// Returns an empty vector for malformed specifications.
+// Every count is a whole decimal number. Returns an empty vector for
+// malformed specifications and for any spec of more than kMaxWorkloadTasks
+// tasks.
 std::vector<const Program*> ParseWorkloadSpec(const std::string& spec,
                                               const ProgramLibrary& library);
 

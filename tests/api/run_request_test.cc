@@ -440,6 +440,61 @@ TEST(RunRequestResolveTest, RunsAreBounded) {
   EXPECT_EQ(error.key, "runs");
 }
 
+TEST(RunRequestResolveTest, WorkloadTasksAreBounded) {
+  // Every workload kind counts its tasks before building them: the largest
+  // workload resolves, anything larger is a structured rejection instead of
+  // a multi-billion-entry spawn list that aborts the process.
+  RunRequest request;
+  request.duration_s = 0.001;
+  request.workload = "hot:" + std::to_string(kMaxWorkloadTasks);
+  const auto at_limit = ResolveRunRequest(request);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error().Render();
+  EXPECT_EQ(at_limit->specs.front().workload.size(),
+            static_cast<std::size_t>(kMaxWorkloadTasks));
+
+  for (const char* workload :
+       {"hot:2000000000", "short:1000001", "mixed:200000", "homog:400000,400000,400000",
+        "list:bitcnts*600000,memrw*600000"}) {
+    request.workload = workload;
+    const RequestError error = ResolveErr(request);
+    EXPECT_EQ(error.code, RequestErrorCode::kBadValue) << workload;
+    EXPECT_EQ(error.key, "workload") << workload;
+    EXPECT_NE(error.Render().find(std::to_string(kMaxWorkloadTasks)), std::string::npos)
+        << error.Render();
+  }
+}
+
+TEST(RunRequestResolveTest, RequestArrivalsAreBounded) {
+  // Each run's spec copies the workload's arrivals, so the bound is on
+  // arrivals x runs, for flag-built and scenario workloads alike.
+  RunRequest request;
+  request.duration_s = 0.001;
+  request.workload = "hot:20000";
+  request.runs = kMaxRequestArrivals / 20'000;
+  const auto at_limit = ResolveRunRequest(request);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error().Render();
+  EXPECT_EQ(at_limit->specs.size(), request.runs);
+
+  request.runs += 1;
+  RequestError error = ResolveErr(request);
+  EXPECT_EQ(error.code, RequestErrorCode::kBadValue);
+  EXPECT_EQ(error.key, "runs");
+  EXPECT_NE(error.Render().find(std::to_string(kMaxRequestArrivals)), std::string::npos)
+      << error.Render();
+
+  error = ResolveErr(ParseOk("workload = list:bitcnts*1000000; runs = 200"));
+  EXPECT_EQ(error.key, "runs");
+  error = ResolveErr(ParseOk("scenario = datacenter-consolidation; runs = 10000"));
+  EXPECT_EQ(error.key, "runs");
+
+  // Every builtin scenario still resolves as a 100-run sweep.
+  for (RunRequest scenario : CannedScenarioRequests()) {
+    scenario.runs = 100;
+    const auto resolved = ResolveRunRequest(scenario);
+    EXPECT_TRUE(resolved.ok()) << scenario.scenario << ": " << resolved.error().Render();
+  }
+}
+
 TEST(RunRequestResolveTest, RejectionsDiagnose) {
   RunRequest request;
 

@@ -161,6 +161,30 @@ TEST(ExperimentServerTest, OverBoundRunsGetAnErrorAndServingContinues) {
   EXPECT_EQ(next->records, 1u);
 }
 
+TEST(ExperimentServerTest, OverBoundWorkloadGetsAnErrorAndServingContinues) {
+  // Resolution runs on the connection thread: a request that would expand
+  // past memory must come back as an error, not take the daemon down.
+  const std::string socket_path = SocketPath("tasks");
+  auto server = ExperimentServer::Start(QuickServer(socket_path));
+  ASSERT_TRUE(server.ok()) << server.error().Render();
+
+  auto client = ServiceClient::Connect(socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().Render();
+  const auto too_many_tasks = client->SubmitAndStream({"workload = hot:2000000000"}, nullptr);
+  ASSERT_FALSE(too_many_tasks.ok());
+  EXPECT_EQ(too_many_tasks.error().code, RequestErrorCode::kBadValue);
+  EXPECT_EQ(too_many_tasks.error().key, "workload");
+  const auto too_many_arrivals =
+      client->SubmitAndStream({"workload = list:bitcnts*1000000; runs = 200"}, nullptr);
+  ASSERT_FALSE(too_many_arrivals.ok());
+  EXPECT_EQ(too_many_arrivals.error().key, "runs");
+
+  const auto next = client->SubmitAndStream(
+      {"topology = 1:2:1; workload = hot:2; duration-s = 2"}, nullptr);
+  ASSERT_TRUE(next.ok()) << next.error().Render();
+  EXPECT_EQ(next->records, 1u);
+}
+
 TEST(ExperimentServerTest, StatusVerbReportsCounters) {
   const std::string socket_path = SocketPath("status");
   auto server = ExperimentServer::Start(QuickServer(socket_path));

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_compare.py - the benchmark regression gate.
 
-Covers the one generic compare(): each gate kind (wall at 25%, sim at 1%,
-bound against the baseline's min/max), checks, the config-equality refusal,
-the asymmetric row-set rule, gates and checks that vanish or change kind,
-non-positive baselines and the "gate gated nothing" guard; load()'s schema
-refusals; main()'s bench-name pairing and exit codes; and that every
-committed baseline loads under the schema.
+Covers the one generic compare(): each gate kind (sim at 1%, bound against
+the baseline's one- or two-sided min/max), checks, the config-equality
+refusal, the asymmetric row-set rule, gates and checks that vanish or change
+kind, non-positive baselines and the "gate gated nothing" guard; load()'s
+schema refusals (a retired wall-clock "wall" gate among them); main()'s
+bench-name pairing and exit codes; and that every committed baseline loads
+under the schema.
 
 Stdlib only; run directly (`python3 tests/tools/bench_compare_test.py`)
 or through ctest as `bench_compare_test`.
@@ -27,22 +28,21 @@ bench_compare = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_compare)
 
 
-def report(rate=1000.0, throughput=2000.0, speedup=30.0, ratio=1.5, identical=True,
-           ticks=5000):
-    """A report exercising every gate kind and a check."""
+def report(throughput=2000.0, speedup=30.0, ratio=1.5, identical=True, ticks=5000):
+    """A report exercising every gate kind, both bound shapes and a check."""
     return {
         "bench": "probe",
         "config": {"ticks": ticks, "build_type": "release"},
         "threads": 8,
         "rows": [
-            {"name": "busy", "tasks": 100,
-             "gates": {"ticks_per_second": {"value": rate, "kind": "wall"},
-                       "throughput": {"value": throughput, "kind": "sim"}},
+            {"name": "busy", "tasks": 100, "ticks_per_second": 1000.0,
+             "gates": {"throughput": {"value": throughput, "kind": "sim"}},
              "checks": {"identical": identical}},
             {"name": "sparse_idle",
              "gates": {"speedup": {"value": speedup, "kind": "bound", "min": 10.0}}},
             {"name": "scaling",
-             "gates": {"cost_ratio": {"value": ratio, "kind": "bound", "max": 4.0}}},
+             "gates": {"cost_ratio": {"value": ratio, "kind": "bound", "min": 0.25,
+                                      "max": 4.0}}},
         ],
     }
 
@@ -59,35 +59,25 @@ def failing(baseline, current, text):
     return any(text in failure for failure in failures(baseline, current))
 
 
-class WallGateTest(unittest.TestCase):
+class SimGateTest(unittest.TestCase):
     def test_identical_runs_pass(self):
         self.assertEqual(failures(report(), report()), [])
 
     def test_improvement_passes(self):
-        self.assertEqual(failures(report(rate=1000.0), report(rate=2000.0)), [])
+        self.assertEqual(failures(report(throughput=2000.0), report(throughput=4000.0)), [])
 
-    def test_regression_beyond_25_percent_fails(self):
-        self.assertTrue(failing(report(rate=1000.0), report(rate=700.0),
-                                "ticks_per_second[busy]"))
-
-    def test_regression_within_25_percent_passes(self):
-        self.assertEqual(failures(report(rate=1000.0), report(rate=800.0)), [])
-
-    def test_non_positive_baseline_is_skipped(self):
-        lines, found = bench_compare.compare(report(rate=0.0), report(rate=1.0))
-        self.assertEqual(found, [])
-        self.assertTrue(any("not positive; skipped" in line for line in lines))
-
-
-class SimGateTest(unittest.TestCase):
     def test_gates_at_one_percent(self):
-        # Simulated values are deterministic: 2% is far inside the wall-clock
-        # 25% but must still fail.
+        # Simulated values are deterministic: a 2% drop must fail.
         self.assertTrue(failing(report(throughput=2000.0), report(throughput=1960.0),
                                 "throughput[busy]"))
 
     def test_within_one_percent_passes(self):
         self.assertEqual(failures(report(throughput=2000.0), report(throughput=1990.0)), [])
+
+    def test_non_positive_baseline_is_skipped(self):
+        lines, found = bench_compare.compare(report(throughput=0.0), report(throughput=1.0))
+        self.assertEqual(found, [])
+        self.assertTrue(any("not positive; skipped" in line for line in lines))
 
 
 class BoundGateTest(unittest.TestCase):
@@ -97,9 +87,17 @@ class BoundGateTest(unittest.TestCase):
     def test_below_min_fails(self):
         self.assertTrue(failing(report(), report(speedup=9.9), "speedup[sparse_idle]"))
 
-    def test_at_max_fails(self):
+    def test_two_sided_bound_at_min_passes(self):
+        self.assertEqual(failures(report(), report(ratio=0.25)), [])
+
+    def test_two_sided_bound_at_max_fails(self):
         # The interval is half-open: [min, max).
         self.assertTrue(failing(report(), report(ratio=4.0), "cost_ratio[scaling]"))
+
+    def test_two_sided_bound_at_zero_fails(self):
+        # A clock that did not advance makes a ratio of 0: under the max,
+        # but not a measurement.
+        self.assertTrue(failing(report(), report(ratio=0.0), "cost_ratio[scaling]"))
 
     def test_row_without_the_value_fails(self):
         current = report()
@@ -120,10 +118,11 @@ class GateShapeTest(unittest.TestCase):
         self.assertTrue(failing(report(), current, "throughput[busy]"))
 
     def test_kind_mismatch_fails(self):
-        # A sim gate rewritten as wall would loosen 1% to 25%.
+        # A sim gate rewritten as a bound would trade the baseline for the
+        # bench's own limits.
         current = report(throughput=1800.0)
-        row(current, "busy")["gates"]["throughput"]["kind"] = "wall"
-        self.assertTrue(failing(report(), current, "kind 'wall' differs"))
+        row(current, "busy")["gates"]["throughput"].update(kind="bound", min=0.0)
+        self.assertTrue(failing(report(), current, "kind 'bound' differs"))
 
 
 class CheckTest(unittest.TestCase):
@@ -160,7 +159,7 @@ class ConfigAndRowsTest(unittest.TestCase):
     def test_new_current_row_is_skipped_not_failed(self):
         current = report()
         current["rows"].append(
-            {"name": "heavy", "gates": {"ticks_per_second": {"value": 1.0, "kind": "wall"}},
+            {"name": "heavy", "gates": {"throughput": {"value": 1.0, "kind": "sim"}},
              "checks": {"identical": False}})
         lines, found = bench_compare.compare(report(), current)
         self.assertEqual(found, [])
@@ -171,10 +170,16 @@ class ConfigAndRowsTest(unittest.TestCase):
         empty["rows"] = []
         self.assertTrue(failing(empty, empty, "gated nothing"))
 
-    def test_bounds_alone_gate_nothing(self):
+    def test_rows_without_gates_gate_nothing(self):
+        checks_only = report()
+        for r in checks_only["rows"]:
+            r.pop("gates")
+        self.assertTrue(failing(checks_only, checks_only, "gated nothing"))
+
+    def test_bounds_alone_gate_something(self):
         bounds_only = report()
         bounds_only["rows"] = bounds_only["rows"][1:]
-        self.assertTrue(failing(bounds_only, bounds_only, "gated nothing"))
+        self.assertEqual(failures(bounds_only, bounds_only), [])
 
 
 class LoadTest(unittest.TestCase):
@@ -204,6 +209,13 @@ class LoadTest(unittest.TestCase):
         with self.assertRaises(SystemExit):
             self._load(json.dumps(doc))
 
+    def test_wall_kind_exits(self):
+        # Absolute wall-clock rates are informational fields, never gates.
+        doc = report()
+        row(doc, "busy")["gates"]["ticks_per_second"] = dict(value=1000.0, kind="wall")
+        with self.assertRaises(SystemExit):
+            self._load(json.dumps(doc))
+
     def test_bound_without_limits_exits(self):
         doc = report()
         del row(doc, "sparse_idle")["gates"]["speedup"]["min"]
@@ -216,14 +228,14 @@ class LoadTest(unittest.TestCase):
 
     def test_committed_baselines_load_under_the_schema(self):
         paths = sorted(glob.glob(os.path.join(_REPO, "bench", "baselines", "*.json")))
-        self.assertEqual(len(paths), 6)
+        self.assertEqual(len(paths), 5)
         for path in paths:
             with self.subTest(path=os.path.basename(path)):
                 doc = bench_compare.load(path)
                 kinds = {gate["kind"] for r in doc["rows"] for gate in r.get("gates", {}).values()}
                 self.assertLessEqual(kinds, set(bench_compare.KINDS))
-                # Compared with itself, each gates at least one wall or sim metric.
-                self.assertNotIn("gated nothing", " ".join(failures(doc, doc)))
+                # Compared with itself, each passes and gates something.
+                self.assertEqual(failures(doc, doc), [])
 
 
 class MainTest(unittest.TestCase):
@@ -248,7 +260,7 @@ class MainTest(unittest.TestCase):
         self.assertEqual(self._run_main(report(), report()), 0)
 
     def test_regression_exit_nonzero(self):
-        self.assertEqual(self._run_main(report(rate=1000.0), report(rate=100.0)), 1)
+        self.assertEqual(self._run_main(report(throughput=2000.0), report(throughput=100.0)), 1)
 
     def test_mismatched_bench_names_refuse(self):
         other = report()

@@ -59,6 +59,11 @@ TEST_F(WorkloadBuilderTest, HotTaskWorkloadSizes) {
 TEST_F(WorkloadBuilderTest, ParseSpecMixed) {
   EXPECT_EQ(ParseWorkloadSpec("mixed:2", library_).size(), 12u);
   EXPECT_EQ(ParseWorkloadSpec("mixed", library_).size(), 18u);  // default 3
+  // A count is all of its text: no prefix of "3x" or "1e3" is read.
+  EXPECT_TRUE(ParseWorkloadSpec("mixed:3x", library_).empty());
+  EXPECT_TRUE(ParseWorkloadSpec("mixed:1e3", library_).empty());
+  EXPECT_TRUE(ParseWorkloadSpec("mixed:-1", library_).empty());
+  EXPECT_TRUE(ParseWorkloadSpec("mixed:200000", library_).empty());  // 1.2M tasks
 }
 
 TEST_F(WorkloadBuilderTest, ParseSpecHomog) {
@@ -66,6 +71,12 @@ TEST_F(WorkloadBuilderTest, ParseSpecHomog) {
   EXPECT_EQ(spawn.size(), 18u);
   EXPECT_TRUE(ParseWorkloadSpec("homog:8,2", library_).empty());  // malformed
   EXPECT_TRUE(ParseWorkloadSpec("homog:-1,2,3", library_).empty());
+  // Exactly three counts, each all of its text.
+  EXPECT_TRUE(ParseWorkloadSpec("homog:8,2,8x", library_).empty());
+  EXPECT_TRUE(ParseWorkloadSpec("homog:8,2,8,4", library_).empty());
+  EXPECT_TRUE(ParseWorkloadSpec("homog:8,,8", library_).empty());
+  EXPECT_TRUE(ParseWorkloadSpec("homog:8,2.5,8", library_).empty());
+  EXPECT_TRUE(ParseWorkloadSpec("homog:400000,400000,400000", library_).empty());
 }
 
 TEST_F(WorkloadBuilderTest, ParseSpecHotAndShort) {
@@ -75,6 +86,12 @@ TEST_F(WorkloadBuilderTest, ParseSpecHotAndShort) {
   ASSERT_EQ(shorts.size(), 6u);
   EXPECT_EQ(shorts[0], &library_.short_hot());
   EXPECT_EQ(shorts[1], &library_.short_cool());
+  EXPECT_EQ(ParseWorkloadSpec("hot:" + std::to_string(kMaxWorkloadTasks), library_).size(),
+            static_cast<std::size_t>(kMaxWorkloadTasks));
+  for (const char* spec : {"hot:1e3", "hot:4x", "hot:2000000000", "hot:99999999999999999999",
+                           "short:6 tasks", "short:0x10", "short:1000001"}) {
+    EXPECT_TRUE(ParseWorkloadSpec(spec, library_).empty()) << spec;
+  }
 }
 
 TEST_F(WorkloadBuilderTest, ParseSpecList) {
@@ -98,6 +115,8 @@ TEST_F(WorkloadBuilderTest, ParseSpecListRejectsMalformed) {
   EXPECT_TRUE(ParseWorkloadSpec("list:bitcnts*8589934593", library_).empty());  // 2^33+1
   EXPECT_TRUE(ParseWorkloadSpec("list:bitcnts*99999999999999999999", library_).empty());
   EXPECT_TRUE(ParseWorkloadSpec("list:bitcnts*2000000000", library_).empty());
+  // Each entry is in range, the total is not.
+  EXPECT_TRUE(ParseWorkloadSpec("list:bitcnts*600000,memrw*600000", library_).empty());
 }
 
 TEST_F(WorkloadBuilderTest, ParseSpecRejectsUnknown) {

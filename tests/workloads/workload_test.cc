@@ -4,8 +4,10 @@
 #include "src/workloads/workload.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 
@@ -158,6 +160,23 @@ TEST(GeneratorsTest, TraceRejectsBadRows) {
   EXPECT_NE(error.find("line 1"), std::string::npos);
 }
 
+TEST(GeneratorsTest, TraceRowsAreBounded) {
+  const ProgramLibrary library(EnergyModel::Default());
+  std::string csv;
+  for (long long row = 0; row < kMaxWorkloadTasks; ++row) {
+    csv += "0,memrw\n";
+  }
+  Workload workload;
+  std::string error;
+  ASSERT_TRUE(ParseTraceWorkload(csv, library, &workload, &error)) << error;
+  EXPECT_EQ(workload.size(), static_cast<std::size_t>(kMaxWorkloadTasks));
+
+  csv += "0,memrw\n";
+  EXPECT_FALSE(ParseTraceWorkload(csv, library, &workload, &error));
+  EXPECT_NE(error.find("line " + std::to_string(kMaxWorkloadTasks + 1)), std::string::npos)
+      << error;
+}
+
 TEST(GeneratorsTest, LoadTraceWorkloadRoundTrip) {
   const ProgramLibrary library(EnergyModel::Default());
   const std::string path = "/tmp/eas_workload_trace_test.csv";
@@ -173,6 +192,25 @@ TEST(GeneratorsTest, LoadTraceWorkloadRoundTrip) {
 
   EXPECT_FALSE(LoadTraceWorkload("/nonexistent/trace.csv", library, &workload, &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos);
+
+  // Paths from request text: a device that never ends, a FIFO whose open
+  // would block until a writer appears, and a file past the byte limit are
+  // refused without being read.
+  EXPECT_FALSE(LoadTraceWorkload("/dev/zero", library, &workload, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  const std::string fifo = "/tmp/eas_workload_trace_test.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_FALSE(LoadTraceWorkload(fifo, library, &workload, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  std::remove(fifo.c_str());
+  {
+    std::ofstream out(path);
+  }
+  std::filesystem::resize_file(path, kMaxTraceBytes + 1);  // sparse: no bytes written
+  EXPECT_FALSE(LoadTraceWorkload(path, library, &workload, &error));
+  EXPECT_NE(error.find(std::to_string(kMaxTraceBytes)), std::string::npos) << error;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -22,16 +22,17 @@ and one generic comparison gates them all:
   gates   Every gate of a baseline row must be in the current row with the
           same kind. The kind and a bound's min/max are read from the
           baseline, so a bench cannot loosen its own gate by writing another.
-            wall   wall-clock rate: fails more than 25% below the baseline
             sim    deterministic simulated value: fails more than 1% below
                    the baseline (slack for floating point across compilers)
             bound  ratio measured within one run: fails outside [min, max),
-                   whatever the baseline recorded, so it means the same on
-                   any runner
-          A wall or sim gate whose baseline value is not positive is skipped.
+                   whatever the baseline recorded
+          Both kinds mean the same on any runner. Absolute wall-clock rates
+          are informational fields here; perfbench (BENCHMARK.json) gates
+          them as parent/change pairs on one machine.
+          A sim gate whose baseline value is not positive is skipped.
   checks  Every check the baseline or the current row names must be true.
 
-A comparison that compared no wall or sim gate fails: silently gating nothing
+A comparison that compared no sim or bound gate fails: silently gating nothing
 is worse than failing loudly. Only regressions gate; improvements pass. To
 refresh a baseline after an intentional change, copy the current file over
 the committed one (the gate prints the exact command).
@@ -43,9 +44,9 @@ import argparse
 import json
 import sys
 
-# Largest tolerated drop below the baseline, per baseline-relative kind.
-TOLERANCE = {"wall": 0.25, "sim": 0.01}
-KINDS = ("wall", "sim", "bound")
+# Largest tolerated drop below the baseline of a sim gate.
+SIM_TOLERANCE = 0.01
+KINDS = ("sim", "bound")
 
 
 def schema_error(doc):
@@ -126,6 +127,7 @@ def compare(baseline, current):
                 continue
             value = got["value"]
             if gate["kind"] == "bound":
+                compared += 1
                 low, high = gate.get("min"), gate.get("max")
                 inside = (low is None or value >= low) and (high is None or value < high)
                 bound = ", ".join(f"{side} {gate[side]:g}" for side in ("min", "max") if side in gate)
@@ -138,13 +140,12 @@ def compare(baseline, current):
                 lines.append(f"  {label}: baseline {reference} not positive; skipped")
                 continue
             compared += 1
-            limit = TOLERANCE[gate["kind"]]
             change = (value - reference) / reference
-            verdict = "REGRESSION" if change < -limit else "ok"
+            verdict = "REGRESSION" if change < -SIM_TOLERANCE else "ok"
             lines.append(f"  {label}: {reference:.6g} -> {value:.6g} ({change:+.1%}) {verdict}")
-            if change < -limit:
+            if change < -SIM_TOLERANCE:
                 failures.append(f"{label}: {reference:.6g} -> {value:.6g} ({change:+.1%},"
-                                f" {gate['kind']} limit -{limit:.0%})")
+                                f" sim limit -{SIM_TOLERANCE:.0%})")
         checks = row.get("checks", {})
         for check in {**base.get("checks", {}), **checks}:
             holds = checks.get(check) is True
@@ -153,7 +154,7 @@ def compare(baseline, current):
                 failures.append(f"check {check}[{base['name']}] no longer holds")
 
     if compared == 0:
-        failures.append("no wall or sim gate was compared - the gate gated nothing")
+        failures.append("no sim or bound gate was compared - the gate gated nothing")
     return lines, failures
 
 
