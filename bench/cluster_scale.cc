@@ -9,7 +9,8 @@
 //
 // The balance rows probe the hierarchical balancer directly: full
 // policy->Balance() sweeps over every CPU at 128 and at 1024 CPUs, the
-// same number of passes at each size, cache invalidated between sweeps.
+// same number of passes at each size, cache invalidated between sweeps,
+// the two sizes timed in alternating rounds.
 // With per-domain aggregate rollups one pass costs O(fanout x depth), so
 // the per-pass cost must stay near-constant as the machine grows 8x; the
 // balance_scaling row bounds the measured ratio below half the CPU ratio
@@ -42,11 +43,17 @@ using eas::bench::Ratio;
 constexpr const char kClusterTopology[] = "2:4:16:4:2";
 constexpr const char kSmallTopology[] = "2:2:4:4:2";
 
+// The two balance probes alternate this many times, and the cost ratio is
+// the median of the per-round ratios: a round's two timings are adjacent in
+// time, and the median drops a round the host preempted.
+constexpr int kTimedRounds = 5;
+
 // Floor of the per-pass cost ratio (1024-CPU over 128-CPU pass cost), whose
-// ceiling is half the CPU ratio: 0.97-1.73 over 10 runs on a 4-core Xeon
-// and 1.02-2.11 over 10 runs pinned to one core (Release, --ticks=2000). A
-// flat pass over every CPU injected into Balance() reads 5.6-5.7, past the
-// ceiling; a clock that did not advance reads 0, under the floor.
+// ceiling is half the CPU ratio. The median of kTimedRounds rounds read
+// 1.51-1.56 over 10 runs on a 4-core Xeon (Release, --ticks=2000). A flat
+// pass reading every CPU's thermal power injected into Balance() reads
+// 4.6, past the ceiling; a clock that did not advance reads 0, under the
+// floor.
 constexpr double kMinCostRatio = 0.25;
 
 eas::MachineConfig BenchConfig(const char* topology) {
@@ -151,6 +158,17 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
   return row;
 }
 
+// The first round's row carrying the median rate of all rounds.
+BalanceRow MedianRate(const std::vector<BalanceRow>& rounds) {
+  std::vector<double> rates;
+  for (const BalanceRow& row : rounds) {
+    rates.push_back(row.passes_per_second);
+  }
+  BalanceRow row = rounds.front();
+  row.passes_per_second = eas::bench::Median(rates);
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,16 +191,24 @@ int main(int argc, char** argv) {
   // small one, so both sizes are timed over the same work.
   const long long passes = std::max<Tick>(2, ticks / 128) * 1024;
   const Tick warmup = std::min<Tick>(32, ticks);
-  BalanceRow balance_small = MeasureBalance(kSmallTopology, library, passes, warmup);
-  BalanceRow balance_large = MeasureBalance(kClusterTopology, library, passes, warmup);
+  std::vector<BalanceRow> small_rounds;
+  std::vector<BalanceRow> large_rounds;
+  std::vector<double> cost_ratios;
+  for (int round = 0; round < kTimedRounds; ++round) {
+    small_rounds.push_back(MeasureBalance(kSmallTopology, library, passes, warmup));
+    large_rounds.push_back(MeasureBalance(kClusterTopology, library, passes, warmup));
+    cost_ratios.push_back(
+        Ratio(small_rounds.back().passes_per_second, large_rounds.back().passes_per_second));
+  }
+  const BalanceRow balance_small = MedianRate(small_rounds);
+  const BalanceRow balance_large = MedianRate(large_rounds);
 
   const double cpu_ratio =
       static_cast<double>(balance_large.cpus) / static_cast<double>(balance_small.cpus);
   // Per-pass cost ratio: small passes/s over large passes/s. 1.0 = constant
   // per-pass cost; cpu_ratio = per-pass cost growing linearly with machine
   // size (a flat O(cpus) scan). Sublinear means staying well under cpu_ratio.
-  const double per_pass_cost_ratio =
-      Ratio(balance_small.passes_per_second, balance_large.passes_per_second);
+  const double per_pass_cost_ratio = eas::bench::Median(cost_ratios);
   const double max_cost_ratio = cpu_ratio / 2.0;
 
   eas::bench::Report report("cluster_scale");

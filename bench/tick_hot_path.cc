@@ -49,12 +49,18 @@ namespace {
 using eas::Tick;
 using eas::bench::Ratio;
 
-// Engine vs scan reference at 10k tasks, both measured in this process:
-// 6.1-11.8 over 20 runs on a 4-core Xeon and 5.9-8.9 over 10 runs pinned to
-// one core (Release, --ticks=20000). The engine's wake and arrival queues
+// The population rows time engine and scan reference this many times,
+// interleaved round by round. The speedup is the median of the per-round
+// ratios: the two passes of a round are adjacent in time, and the median
+// drops a round the host preempted.
+constexpr int kTimedRounds = 5;
+
+// Engine vs scan reference at 10k tasks, both measured in this process, the
+// median of kTimedRounds interleaved rounds: 7.6-8.4 over 20 runs on a
+// 4-core Xeon (Release, --ticks=20000). The engine's wake and arrival queues
 // are what keep its rate flat as tasks accumulate: a per-tick pass over
-// every task injected into the wake path reads 0.8-0.9, and a fixed cost
-// that makes the engine's tick about 2.4x slower reads 2.4-2.8.
+// every task injected into the wake path reads 0.28-0.29, and a fixed cost
+// that makes the engine's tick about 2.4x slower read 2.4-2.8 timed once.
 constexpr double kTasks10000MinSpeedup = 4.0;
 constexpr int kGatedPopulation = 10'000;
 
@@ -133,37 +139,49 @@ struct Measurement {
   bool identical = false;
 };
 
+// Engine and scan reference alternate for kTimedRounds rounds, each on fresh
+// states. The speedup is the median of the per-round ratios.
 Measurement MeasurePopulation(const eas::ProgramLibrary& library, int tasks, Tick ticks) {
   const eas::MachineConfig config = BenchConfig();
+  std::vector<double> engine_seconds;
+  std::vector<double> scan_seconds;
+  std::vector<double> speedups;
+  bool identical = true;
+  for (int round = 0; round < kTimedRounds; ++round) {
+    eas::SimulationState engine_state(config);
+    eas::SimulationEngine engine(config.sched);
+    SpawnSleeperHeavy(engine_state, library, tasks);
+    const eas::bench::Stopwatch engine_clock;
+    for (Tick t = 0; t < ticks; ++t) {
+      engine.Tick(engine_state);
+    }
+    engine_seconds.push_back(engine_clock.Seconds());
 
-  eas::SimulationState engine_state(config);
-  eas::SimulationEngine engine(config.sched);
-  SpawnSleeperHeavy(engine_state, library, tasks);
-  const eas::bench::Stopwatch engine_clock;
-  for (Tick t = 0; t < ticks; ++t) {
-    engine.Tick(engine_state);
-  }
-  const double engine_seconds = engine_clock.Seconds();
+    eas::SimulationState scan_state(config);
+    eas::ScanReferenceStepper scan(config.sched);
+    SpawnSleeperHeavy(scan_state, library, tasks);
+    const eas::bench::Stopwatch scan_clock;
+    for (Tick t = 0; t < ticks; ++t) {
+      scan.Step(scan_state);
+    }
+    scan_seconds.push_back(scan_clock.Seconds());
 
-  eas::SimulationState scan_state(config);
-  eas::ScanReferenceStepper scan(config.sched);
-  SpawnSleeperHeavy(scan_state, library, tasks);
-  const eas::bench::Stopwatch scan_clock;
-  for (Tick t = 0; t < ticks; ++t) {
-    scan.Step(scan_state);
+    speedups.push_back(Ratio(scan_seconds.back(), engine_seconds.back()));
+    identical = identical && engine_state.TotalWorkDone() == scan_state.TotalWorkDone() &&
+                engine_state.TotalTaskEnergy() == scan_state.TotalTaskEnergy() &&
+                engine_state.migration_count() == scan_state.migration_count();
   }
-  const double scan_seconds = scan_clock.Seconds();
 
   Measurement m;
   m.name = "tasks_" + std::to_string(tasks);
   m.tasks = tasks;
   m.ticks = ticks;
-  m.engine_ticks_per_second = Ratio(static_cast<double>(ticks), engine_seconds);
-  m.reference_ticks_per_second = Ratio(static_cast<double>(ticks), scan_seconds);
-  m.speedup = Ratio(scan_seconds, engine_seconds);
-  m.identical = engine_state.TotalWorkDone() == scan_state.TotalWorkDone() &&
-                engine_state.TotalTaskEnergy() == scan_state.TotalTaskEnergy() &&
-                engine_state.migration_count() == scan_state.migration_count();
+  m.engine_ticks_per_second =
+      Ratio(static_cast<double>(ticks), eas::bench::Median(engine_seconds));
+  m.reference_ticks_per_second =
+      Ratio(static_cast<double>(ticks), eas::bench::Median(scan_seconds));
+  m.speedup = eas::bench::Median(speedups);
+  m.identical = identical;
   return m;
 }
 

@@ -1,5 +1,6 @@
 #include "src/api/run_request.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -310,6 +311,36 @@ Expected<RunRequest> ParseRunRequest(const std::string& text) {
     line_start = newline + 1;
   }
   return request;
+}
+
+Expected<std::vector<RunRequest>> ParseRunRequestBatch(const std::string& text) {
+  std::vector<RunRequest> requests;
+  std::size_t line_number = 0;
+  std::size_t line_start = 0;
+  while (line_start < text.size()) {
+    const std::size_t newline = std::min(text.find('\n', line_start), text.size());
+    const std::string line = text.substr(line_start, newline - line_start);
+    line_start = newline + 1;
+    ++line_number;
+    if (Trim(line.substr(0, line.find('#'))).empty()) {
+      continue;  // blank or comment-only line
+    }
+    auto request = ParseRunRequest(line);
+    if (!request.ok()) {
+      RequestError error = request.error();
+      error.line = line_number;
+      return error;
+    }
+    if (request->name.empty()) {
+      request->name = request->scenario.empty() ? "req" + std::to_string(requests.size())
+                                                : request->scenario;
+    }
+    requests.push_back(std::move(*request));
+  }
+  if (requests.empty()) {
+    return MakeError(RequestErrorCode::kSyntax, "", "the batch holds no requests");
+  }
+  return requests;
 }
 
 std::string FormatRunRequest(const RunRequest& request) {

@@ -121,6 +121,12 @@ inline constexpr std::uint64_t kMaxRequestArrivals = 2'000'000;
 // the offense on unknown/duplicate keys or malformed values.
 Expected<RunRequest> ParseRunRequest(const std::string& text);
 
+// Parses a batch file: one single-line request per line ('#' comments and
+// blank lines skipped). A request without a name is named after its
+// scenario, or "req<K>" for the K-th request. A RequestError whose `line` is
+// the batch line on a malformed request, and on a batch with no requests.
+Expected<std::vector<RunRequest>> ParseRunRequestBatch(const std::string& text);
+
 // Applies one `key = value` pair onto `request` with exactly the keys and
 // value validation ParseRunRequest uses (exposed so eastool's flags share
 // the request file's strictness - `--seed 4z2` must be rejected the same

@@ -1,8 +1,20 @@
 #include "src/base/flags.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace eas {
+namespace {
+
+[[noreturn]] void RejectValue(const std::string& name, const std::string& value,
+                              const char* want) {
+  std::fprintf(stderr, "--%s: bad value \"%s\" (want %s)\n", name.c_str(), value.c_str(), want);
+  std::exit(1);
+}
+
+}  // namespace
 
 FlagParser::FlagParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -39,7 +51,13 @@ double FlagParser::GetDouble(const std::string& name, double fallback) const {
   if (it == values_.end() || it->second.empty()) {
     return fallback;
   }
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& text = it->second;
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || !std::isfinite(value)) {
+    RejectValue(name, text, "a finite number");
+  }
+  return value;
 }
 
 long long FlagParser::GetInt(const std::string& name, long long fallback) const {
@@ -47,7 +65,13 @@ long long FlagParser::GetInt(const std::string& name, long long fallback) const 
   if (it == values_.end() || it->second.empty()) {
     return fallback;
   }
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& text = it->second;
+  long long value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    RejectValue(name, text, "an integer");
+  }
+  return value;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {

@@ -22,6 +22,10 @@ class FlagParser {
 
   // Value of --name; `fallback` if absent. A bare switch yields "".
   std::string GetString(const std::string& name, const std::string& fallback = "") const;
+  // Numeric values of --name; `fallback` if absent or a bare switch. A value
+  // that is not wholly a number ("4x", "abc", " 4", "inf") exits the tool
+  // with status 1 and a diagnostic naming the flag, so a typo never runs as
+  // 0 or as a prefix of what was meant.
   double GetDouble(const std::string& name, double fallback) const;
   long long GetInt(const std::string& name, long long fallback) const;
   bool GetBool(const std::string& name, bool fallback = false) const;

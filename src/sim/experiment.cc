@@ -52,10 +52,6 @@ double RunResult::MaxThermalSpreadAfter(Tick tick) const {
 Experiment::Experiment(const MachineConfig& config, const Options& options)
     : options_(options), machine_(std::make_unique<Machine>(config)) {}
 
-RunResult Experiment::Run(const std::vector<const Program*>& programs) {
-  return Run(Workload(programs));
-}
-
 RunResult Experiment::Run(const Workload& workload) {
   RunResult result;
   SimulationState& state = machine_->state();

@@ -88,9 +88,6 @@ class Experiment {
   // would not share the sampling grid's start.
   RunResult Run(const Workload& workload);
 
-  // Legacy shape: spawns `programs` (in order) at tick 0.
-  RunResult Run(const std::vector<const Program*>& programs);
-
   Machine& machine() { return *machine_; }
 
  private:

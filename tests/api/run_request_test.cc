@@ -161,6 +161,61 @@ TEST(RunRequestParseTest, RejectsMalformedPairs) {
             std::string::npos);
 }
 
+TEST(RunRequestBatchTest, OneRequestPerLineSkippingCommentsAndBlanks) {
+  const auto batch = ParseRunRequestBatch(
+      "# a batch\n"
+      "\n"
+      "   # indented comment\n"
+      "policy = baseline; seed = 3  # trailing comment\n"
+      "  \t\r\n"
+      "scenario = paper-hot-task; duration-s = 5");  // no final newline
+  ASSERT_TRUE(batch.ok()) << batch.error().Render();
+  ASSERT_EQ(batch->size(), 2u);
+  EXPECT_EQ((*batch)[0].policy, "baseline");
+  EXPECT_EQ((*batch)[0].seed, 3u);
+  EXPECT_EQ((*batch)[1].scenario, "paper-hot-task");
+  EXPECT_EQ((*batch)[1].duration_s, 5.0);
+}
+
+TEST(RunRequestBatchTest, DefaultNamesAreTheScenarioOrThePosition) {
+  const auto batch = ParseRunRequestBatch(
+      "seed = 1\n"
+      "# comments do not count as requests\n"
+      "scenario = paper-mixed\n"
+      "name = mine; seed = 2\n"
+      "seed = 3\n");
+  ASSERT_TRUE(batch.ok()) << batch.error().Render();
+  ASSERT_EQ(batch->size(), 4u);
+  EXPECT_EQ((*batch)[0].name, "req0");
+  EXPECT_EQ((*batch)[1].name, "paper-mixed");
+  EXPECT_EQ((*batch)[2].name, "mine");
+  EXPECT_EQ((*batch)[3].name, "req3");
+}
+
+TEST(RunRequestBatchTest, MalformedLineIsReportedAtItsBatchLine) {
+  const auto batch = ParseRunRequestBatch(
+      "# header\n"
+      "seed = 1\n"
+      "\n"
+      "seed = 2; polcy = eas\n"
+      "seed = 3\n");
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.error().line, 4u);
+  EXPECT_EQ(batch.error().code, RequestErrorCode::kUnknownKey);
+  EXPECT_EQ(batch.error().key, "polcy");
+  EXPECT_EQ(batch.error().Render().rfind("line 4: unknown key \"polcy\"", 0), 0u)
+      << batch.error().Render();
+}
+
+TEST(RunRequestBatchTest, EmptyBatchIsRejected) {
+  for (const char* text : {"", "\n\n", "# only comments\n  # and more\n"}) {
+    const auto batch = ParseRunRequestBatch(text);
+    ASSERT_FALSE(batch.ok()) << '"' << text << '"';
+    EXPECT_EQ(batch.error().line, 0u);
+    EXPECT_NE(batch.error().message.find("no requests"), std::string::npos);
+  }
+}
+
 TEST(RunRequestApplyFieldTest, SharesTheParserValidation) {
   // The one-pair entry point eastool's flags use: same keys, same value
   // strictness as the file parser.

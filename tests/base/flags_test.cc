@@ -54,6 +54,32 @@ TEST(FlagsTest, Fallbacks) {
   EXPECT_EQ(flags.GetInt("missing", -2), -2);
 }
 
+TEST(FlagsTest, NumbersParseWhole) {
+  EXPECT_EQ(Parse({"--threads=-3"}).GetInt("threads", 0), -3);
+  EXPECT_EQ(Parse({"--threads", "0"}).GetInt("threads", 5), 0);
+  EXPECT_DOUBLE_EQ(Parse({"--duration=2.5e3"}).GetDouble("duration", 0.0), 2500.0);
+  EXPECT_DOUBLE_EQ(Parse({"--duration=-0.5"}).GetDouble("duration", 0.0), -0.5);
+  EXPECT_DOUBLE_EQ(Parse({"--duration=7"}).GetDouble("duration", 0.0), 7.0);
+}
+
+TEST(FlagsDeathTest, RejectsMalformedIntegersNamingTheFlag) {
+  for (const char* value : {"4x", "abc", "1.5", " 4", "+4", "4 ", "0x10", "99999999999999999999"}) {
+    const FlagParser flags = Parse({"--threads", value});
+    EXPECT_EXIT(flags.GetInt("threads", 0), ::testing::ExitedWithCode(1),
+                "--threads: bad value .* \\(want an integer\\)")
+        << '"' << value << '"';
+  }
+}
+
+TEST(FlagsDeathTest, RejectsMalformedNumbersNamingTheFlag) {
+  for (const char* value : {"abc", "2s", "1e", " 2", "inf", "nan", "1e999"}) {
+    const FlagParser flags = Parse({"--duration", value});
+    EXPECT_EXIT(flags.GetDouble("duration", 0.0), ::testing::ExitedWithCode(1),
+                "--duration: bad value .* \\(want a finite number\\)")
+        << '"' << value << '"';
+  }
+}
+
 TEST(FlagsTest, Positional) {
   const FlagParser flags = Parse({"run", "--policy=eas", "fast"});
   ASSERT_EQ(flags.positional().size(), 2u);

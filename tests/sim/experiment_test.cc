@@ -23,7 +23,7 @@ TEST(ExperimentTest, CollectsThermalSeriesPerCpu) {
   options.duration_ticks = 2'000;
   options.sample_interval_ticks = 100;
   Experiment experiment(QuickConfig(), options);
-  const RunResult result = experiment.Run({&library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts()}));
   EXPECT_EQ(result.thermal_power.size(), 2u);
   EXPECT_EQ(result.temperature.size(), 2u);
   EXPECT_EQ(result.thermal_power.at(0).size(), 20u);
@@ -64,7 +64,7 @@ TEST(ExperimentTest, RecordsTaskCpuTraceWhenAsked) {
   options.sample_interval_ticks = 100;
   options.record_task_cpu = true;
   Experiment experiment(QuickConfig(), options);
-  const RunResult result = experiment.Run({&library.bitcnts(), &library.memrw()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts(), &library.memrw()}));
   EXPECT_EQ(result.task_cpu.size(), 2u);
   EXPECT_GT(result.task_cpu.at(0).size(), 0u);
 }
@@ -119,7 +119,7 @@ TEST(ExperimentTest, ThrottledFractionsCollected) {
   Experiment::Options options;
   options.duration_ticks = 60'000;
   Experiment experiment(config, options);
-  const RunResult result = experiment.Run({&library.bitcnts(), &library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts(), &library.bitcnts()}));
   ASSERT_EQ(result.throttled_fraction.size(), 2u);
   EXPECT_GT(result.AverageThrottledFraction(), 0.05);
 }
@@ -141,7 +141,7 @@ TEST(ExperimentTest, ZeroDemandCpuReportsPackageHaltFraction) {
   options.duration_ticks = 2'000;
   Experiment experiment(config, options);
   // One task: it occupies one package; the other has zero demand all run.
-  const RunResult result = experiment.Run({&library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts()}));
 
   ASSERT_EQ(result.throttled_fraction.size(), 2u);
   const int busy_cpu = SimulationState::TaskCpu(*experiment.machine().state().tasks()[0]);
@@ -163,7 +163,7 @@ TEST(ExperimentTest, ThrottlingDisabledReportsZeroFractions) {
   Experiment::Options options;
   options.duration_ticks = 1'000;
   Experiment experiment(config, options);
-  const RunResult result = experiment.Run({&library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts()}));
   for (double fraction : result.throttled_fraction) {
     EXPECT_DOUBLE_EQ(fraction, 0.0);
   }

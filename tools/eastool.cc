@@ -189,41 +189,20 @@ bool ApplyFlagOverrides(const eas::FlagParser& flags, eas::RunRequest* request) 
   return true;
 }
 
-// Parses a --batch file into one request per non-blank line. False (with
-// printed diagnostics) on a malformed line.
+// Parses a --batch file into one request per non-blank line. False (with a
+// printed diagnostic) on an unreadable file or a malformed line.
 bool LoadBatchRequests(const std::string& path, std::vector<eas::RunRequest>* requests) {
   std::string text;
   if (!ReadFileToString(path, &text)) {
     std::fprintf(stderr, "cannot read --batch file %s\n", path.c_str());
     return false;
   }
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    const std::size_t hash = line.find('#');
-    const std::string body = hash == std::string::npos ? line : line.substr(0, hash);
-    if (body.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;  // blank or comment-only line
-    }
-    const auto request = eas::ParseRunRequest(body);
-    if (!request.ok()) {
-      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), line_number,
-                   request.error().Render().c_str());
-      return false;
-    }
-    eas::RunRequest named = *request;
-    if (named.name.empty()) {
-      named.name = named.scenario.empty() ? "req" + std::to_string(requests->size())
-                                          : named.scenario;
-    }
-    requests->push_back(std::move(named));
-  }
-  if (requests->empty()) {
-    std::fprintf(stderr, "--batch file %s holds no requests\n", path.c_str());
+  auto parsed = eas::ParseRunRequestBatch(text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), parsed.error().Render().c_str());
     return false;
   }
+  *requests = std::move(*parsed);
   return true;
 }
 
