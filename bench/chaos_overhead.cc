@@ -21,7 +21,6 @@
 //
 //   $ bench_chaos_overhead [--duration=20000] [--threads=0] [--out=BENCH_chaos.json]
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -59,9 +58,8 @@ struct Plan {
 int main(int argc, char** argv) {
   const eas::FlagParser flags =
       eas::bench::ParseFlags(argc, argv, {"duration", "threads", "out"});
-  const eas::Tick duration = flags.GetInt("duration", 20'000);
-  const std::size_t threads =
-      static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
+  const eas::Tick duration = flags.GetInt("duration", 20'000, 0);
+  const std::size_t threads = static_cast<std::size_t>(flags.GetInt("threads", 0, 0));
   const std::string out = flags.GetString("out", "BENCH_chaos.json");
 
   const Plan plans[] = {

@@ -14,7 +14,6 @@
 //
 //   $ bench_governor_sweep [--duration=40000] [--threads=0] [--out=BENCH_governors.json]
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,9 +26,8 @@
 int main(int argc, char** argv) {
   const eas::FlagParser flags =
       eas::bench::ParseFlags(argc, argv, {"duration", "threads", "out"});
-  const eas::Tick duration = flags.GetInt("duration", 40'000);
-  const std::size_t threads =
-      static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
+  const eas::Tick duration = flags.GetInt("duration", 40'000, 0);
+  const std::size_t threads = static_cast<std::size_t>(flags.GetInt("threads", 0, 0));
   const std::string out = flags.GetString("out", "BENCH_governors.json");
 
   const std::vector<std::string> governors = eas::FrequencyGovernorRegistry::Global().Names();

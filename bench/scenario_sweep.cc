@@ -10,7 +10,6 @@
 // --duration overrides every scenario's tick count (0 keeps each scenario's
 // own, paper-length duration).
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,9 +22,8 @@
 int main(int argc, char** argv) {
   const eas::FlagParser flags =
       eas::bench::ParseFlags(argc, argv, {"duration", "threads", "out"});
-  const eas::Tick duration = flags.GetInt("duration", 40'000);
-  const std::size_t threads =
-      static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
+  const eas::Tick duration = flags.GetInt("duration", 40'000, 0);
+  const std::size_t threads = static_cast<std::size_t>(flags.GetInt("threads", 0, 0));
   const std::string out = flags.GetString("out", "BENCH_scenarios.json");
 
   const std::vector<std::string> policies = eas::BalancePolicyRegistry::Global().Names();

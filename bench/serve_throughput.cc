@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -172,10 +173,11 @@ LegResult RunForkPerRun(const std::vector<std::string>& texts, const std::string
 int main(int argc, char** argv) {
   const eas::FlagParser flags = eas::bench::ParseFlags(
       argc, argv, {"requests", "duration", "threads", "eastool", "out"});
-  const int requests = std::max(1, static_cast<int>(flags.GetInt("requests", 24)));
-  const long long duration_ms = std::max(1LL, static_cast<long long>(flags.GetInt("duration", 2000)));
+  const int requests =
+      static_cast<int>(flags.GetInt("requests", 24, 1, std::numeric_limits<int>::max()));
+  const long long duration_ms = flags.GetInt("duration", 2000, 1);
   const std::size_t workers =
-      static_cast<std::size_t>(std::max(1LL, static_cast<long long>(flags.GetInt("threads", 4))));
+      static_cast<std::size_t>(flags.GetInt("threads", 4, 1, eas::kMaxServiceWorkers));
   const std::string eastool = flags.GetString("eastool", "");
   const std::string out = flags.GetString("out", "BENCH_serve.json");
 

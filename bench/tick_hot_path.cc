@@ -320,7 +320,7 @@ NoiseMeasurement MeasureNoiseDraws(std::size_t draws) {
 
 int main(int argc, char** argv) {
   const eas::FlagParser flags = eas::bench::ParseFlags(argc, argv, {"ticks", "out"});
-  const Tick ticks = std::max<Tick>(1, flags.GetInt("ticks", 2'000));
+  const Tick ticks = flags.GetInt("ticks", 2'000, 1);
   const std::string out = flags.GetString("out", "BENCH_tick_hot_path.json");
 
   const eas::EnergyModel model = eas::EnergyModel::Default();

@@ -244,6 +244,8 @@ run_expect_failure("missing request file" ${EASTOOL} --request ${OUT_DIR}/no_suc
 run_expect_failure("bad seed value" ${EASTOOL} --seed 4z2 --duration-s 1)
 run_expect_failure("trailing junk in --threads"
                    ${EASTOOL} --scenario paper-mixed --duration-s 1 --threads 4x)
+run_expect_failure("negative --threads"
+                   ${EASTOOL} --scenario paper-mixed --duration-s 1 --threads -3)
 run_expect_failure("bad topology" ${EASTOOL} --topology junk:0:x --duration-s 1)
 run_expect_failure("zero-CPU topology" ${EASTOOL} --topology 1:0:1 --duration-s 1)
 run_expect_failure("unknown policy" ${EASTOOL} --policy no_such_policy --duration-s 1)

@@ -418,12 +418,8 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   ExperimentSpec spec;
   if (from_scenario) {
     if (!ScenarioRegistry::Global().Contains(request.scenario)) {
-      std::string known;
-      for (const std::string& name : ScenarioRegistry::Global().Names()) {
-        known += known.empty() ? name : ", " + name;
-      }
       return MakeError(RequestErrorCode::kUnknownName, "scenario",
-                       "unknown scenario \"" + request.scenario + "\" (known: " + known + ")");
+                       ScenarioRegistry::Global().UnknownName("scenario", request.scenario));
     }
     // The cached build and a fresh factory call are the same deterministic
     // data; the cache only amortizes workload generation across requests.
@@ -506,12 +502,8 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   if (!from_scenario || request.policy.has_value()) {
     const std::string policy = NormalizePolicyName(request.policy.value_or("energy_aware"));
     if (!BalancePolicyRegistry::Global().Contains(policy)) {
-      std::string known;
-      for (const std::string& name : BalancePolicyRegistry::Global().Names()) {
-        known += known.empty() ? name : ", " + name;
-      }
       return MakeError(RequestErrorCode::kUnknownName, "policy",
-                       "unknown policy \"" + policy + "\" (known: " + known + ")");
+                       BalancePolicyRegistry::Global().UnknownName("policy", policy));
     }
     spec.config.sched = SchedConfigForPolicy(policy);
     resolved.policy = policy;
@@ -523,12 +515,8 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   if (!from_scenario || request.governor.has_value()) {
     const std::string governor = request.governor.value_or("none");
     if (!FrequencyGovernorRegistry::Global().Contains(governor)) {
-      std::string known;
-      for (const std::string& name : FrequencyGovernorRegistry::Global().Names()) {
-        known += known.empty() ? name : ", " + name;
-      }
       return MakeError(RequestErrorCode::kUnknownName, "governor",
-                       "unknown governor \"" + governor + "\" (known: " + known + ")");
+                       FrequencyGovernorRegistry::Global().UnknownName("governor", governor));
     }
     spec.config.frequency_governor = governor;
   }

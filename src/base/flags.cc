@@ -4,13 +4,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 namespace eas {
 namespace {
 
 [[noreturn]] void RejectValue(const std::string& name, const std::string& value,
-                              const char* want) {
-  std::fprintf(stderr, "--%s: bad value \"%s\" (want %s)\n", name.c_str(), value.c_str(), want);
+                              const std::string& want) {
+  std::fprintf(stderr, "--%s: bad value \"%s\" (want %s)\n", name.c_str(), value.c_str(),
+               want.c_str());
   std::exit(1);
 }
 
@@ -60,7 +63,8 @@ double FlagParser::GetDouble(const std::string& name, double fallback) const {
   return value;
 }
 
-long long FlagParser::GetInt(const std::string& name, long long fallback) const {
+long long FlagParser::GetInt(const std::string& name, long long fallback, long long min,
+                              long long max) const {
   auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) {
     return fallback;
@@ -70,6 +74,12 @@ long long FlagParser::GetInt(const std::string& name, long long fallback) const 
   const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc() || end != text.data() + text.size()) {
     RejectValue(name, text, "an integer");
+  }
+  if (value < min || value > max) {
+    RejectValue(name, text,
+                max == std::numeric_limits<long long>::max()
+                    ? "an integer >= " + std::to_string(min)
+                    : "an integer in [" + std::to_string(min) + ", " + std::to_string(max) + "]");
   }
   return value;
 }

@@ -6,6 +6,7 @@
 #ifndef SRC_BASE_FLAGS_H_
 #define SRC_BASE_FLAGS_H_
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,11 +24,14 @@ class FlagParser {
   // Value of --name; `fallback` if absent. A bare switch yields "".
   std::string GetString(const std::string& name, const std::string& fallback = "") const;
   // Numeric values of --name; `fallback` if absent or a bare switch. A value
-  // that is not wholly a number ("4x", "abc", " 4", "inf") exits the tool
-  // with status 1 and a diagnostic naming the flag, so a typo never runs as
-  // 0 or as a prefix of what was meant.
+  // that is not wholly a number ("4x", "abc", " 4", "inf"), or an integer
+  // outside [min, max], exits the tool with status 1 and a diagnostic naming
+  // the flag, so a typo never runs as 0, as a prefix of what was meant, or
+  // as a silently clamped count.
   double GetDouble(const std::string& name, double fallback) const;
-  long long GetInt(const std::string& name, long long fallback) const;
+  long long GetInt(const std::string& name, long long fallback,
+                   long long min = std::numeric_limits<long long>::min(),
+                   long long max = std::numeric_limits<long long>::max()) const;
   bool GetBool(const std::string& name, bool fallback = false) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

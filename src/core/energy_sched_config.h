@@ -16,30 +16,18 @@
 
 namespace eas {
 
-// Which balancing algorithm runs when a CPU rebalances.
-enum class BalancerKind {
-  kLoadOnly,          // stock Linux: load balancing only (the baseline)
-  kEnergyAware,       // the paper's merged dual-metric algorithm (Figure 4)
-  kPowerOnly,         // strawman: runqueue power only (ping-pongs)
-  kTemperatureOnly,   // strawman: thermal power only (over-balances)
-};
-
 struct EnergySchedConfig {
   bool energy_balancing = true;
   bool hot_task_migration = true;
   bool energy_aware_placement = true;
 
-  // Effective only when energy_balancing is true; kLoadOnly is implied
-  // otherwise.
-  BalancerKind balancer_kind = BalancerKind::kEnergyAware;
-
   // Balancing policy selected by name through the BalancePolicyRegistry
-  // (src/core/policy_registry.h). When empty, the name is derived from
-  // `balancer_kind`; setting it overrides the enum and admits policies the
-  // enum does not know about. Like `balancer_kind`, it only takes effect
-  // while `energy_balancing` is true - disabling energy balancing always
-  // means the stock "load_only" policy.
-  std::string balancer_name;
+  // (src/core/policy_registry.h): "energy_aware" is the paper's merged
+  // dual-metric algorithm (Figure 4); "power_only" and "temperature_only"
+  // are its single-metric strawmen. It only takes effect while
+  // `energy_balancing` is true - disabling energy balancing always means
+  // the stock "load_only" policy.
+  std::string balancer_name = "energy_aware";
 
   // Balancing cadence (per CPU). Linux rebalances every ~100-200 ms busy.
   Tick balance_interval_ticks = 200;

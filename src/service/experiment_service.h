@@ -51,6 +51,11 @@
 
 namespace eas {
 
+// The largest worker count a command-line flag may ask a service for: each
+// worker is an OS thread held for the service's lifetime, so a mistyped
+// count is refused rather than spawned.
+inline constexpr long long kMaxServiceWorkers = 256;
+
 struct ServiceOptions {
   // Job (= run) slots in the admission queue; a submission needing more
   // free slots than remain is rejected whole with kQueueFull.

@@ -30,7 +30,6 @@ std::shared_ptr<const ProgramLibrary> MakeLibrary(const MachineConfig& config) {
 
 ScenarioSpec PaperMixed() {
   ScenarioSpec spec;
-  spec.description = "Section 6.1: 18-task mixed Table 2 workload, 60 W cap, energy-aware";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -41,7 +40,6 @@ ScenarioSpec PaperMixed() {
 
 ScenarioSpec PaperHomogeneous() {
   ScenarioSpec spec;
-  spec.description = "Figure 8: memrw/pushpop/bitcnts homogeneity mix, 60 W cap";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -52,7 +50,6 @@ ScenarioSpec PaperHomogeneous() {
 
 ScenarioSpec PaperHotTask() {
   ScenarioSpec spec;
-  spec.description = "Figures 9/10: bitcnts hot tasks under 40 W throttling";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 40.0;
   spec.config.throttling_enabled = true;
@@ -65,7 +62,6 @@ ScenarioSpec PaperHotTask() {
 
 ScenarioSpec ShortTasks() {
   ScenarioSpec spec;
-  spec.description = "Section 6.2: churning short hot/cool tasks, stresses initial placement";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -80,7 +76,6 @@ ScenarioSpec ShortTasks() {
 
 ScenarioSpec PhaseShift() {
   ScenarioSpec spec;
-  spec.description = "Stressor: 8 tasks flip ALU-hot <-> mem-cool mix every 30 s";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   PhaseShiftOptions options;
@@ -91,7 +86,6 @@ ScenarioSpec PhaseShift() {
 
 ScenarioSpec PoissonOpenLoop() {
   ScenarioSpec spec;
-  spec.description = "Stressor: open-loop Poisson arrivals (2/s) of the Table 2 mix";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -107,8 +101,6 @@ ScenarioSpec PoissonOpenLoop() {
 
 ScenarioSpec ServerConsolidation() {
   ScenarioSpec spec;
-  spec.description =
-      "Scale stressor: 150+ mostly-sleeping service daemons ramp up over a cool batch floor";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -135,9 +127,6 @@ ScenarioSpec ServerConsolidation() {
 
 ScenarioSpec DatacenterConsolidation() {
   ScenarioSpec spec;
-  spec.description =
-      "Cluster stressor: 512-CPU five-level topology (256 packages), ~16k mostly-sleeping "
-      "daemons over a batch floor";
   // A consolidation *cluster*, not a host: 2 racks x 4 boards x 8 nodes x
   // 4 packages x 2 SMT = 512 logical CPUs under a five-level domain tree.
   // This is the scale target the level-list topology and the per-domain
@@ -179,9 +168,6 @@ ScenarioSpec DatacenterConsolidation() {
 
 ScenarioSpec DvfsVsThrottle() {
   ScenarioSpec spec;
-  spec.description =
-      "DVFS half of the capping comparison: paper-hot-task's 40 W cap enforced by the "
-      "thermal-stepdown governor instead of hlt";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 40.0;
   // The cap is enforced purely by frequency scaling: hlt throttling off,
@@ -200,9 +186,6 @@ ScenarioSpec DvfsVsThrottle() {
 
 ScenarioSpec GovernorComparison() {
   ScenarioSpec spec;
-  spec.description =
-      "Governor proving ground: bursty mixed workload under a 40 W cap with hlt backstop; "
-      "sweep --governor across none/thermal-stepdown/ondemand";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 40.0;
   // hlt throttling stays armed as the backstop, so --governor none is the
@@ -230,9 +213,6 @@ ScenarioSpec GovernorComparison() {
 
 ScenarioSpec ChaosSoak() {
   ScenarioSpec spec;
-  spec.description =
-      "Chaos soak: SMT paper box under a dense seeded fault plan (hotplug churn, thermal "
-      "spikes, P-state clamps) with the invariant checker armed every tick";
   spec.config = PaperMachine();
   // SMT on: hotplug must cope with sibling pairs sharing a package, not just
   // one logical CPU per core.
@@ -261,7 +241,6 @@ ScenarioSpec ChaosSoak() {
 
 ScenarioSpec TraceReplay() {
   ScenarioSpec spec;
-  spec.description = "Trace playback: staged bitcnts burst over a memrw floor";
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);

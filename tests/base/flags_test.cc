@@ -71,6 +71,25 @@ TEST(FlagsDeathTest, RejectsMalformedIntegersNamingTheFlag) {
   }
 }
 
+TEST(FlagsTest, IntegersWithinBoundsPass) {
+  EXPECT_EQ(Parse({"--threads=0"}).GetInt("threads", 5, 0), 0);
+  EXPECT_EQ(Parse({"--threads=256"}).GetInt("threads", 0, 0, 256), 256);
+  EXPECT_EQ(Parse({"--queue-depth", "1"}).GetInt("queue-depth", 64, 1), 1);
+}
+
+TEST(FlagsDeathTest, RejectsIntegersOutOfRangeNamingTheBound) {
+  EXPECT_EXIT(Parse({"--threads", "-3"}).GetInt("threads", 0, 0), ::testing::ExitedWithCode(1),
+              "--threads: bad value \"-3\" \\(want an integer >= 0\\)");
+  EXPECT_EXIT(Parse({"--queue-depth=0"}).GetInt("queue-depth", 64, 1),
+              ::testing::ExitedWithCode(1),
+              "--queue-depth: bad value \"0\" \\(want an integer >= 1\\)");
+  EXPECT_EXIT(Parse({"--threads=257"}).GetInt("threads", 0, 0, 256),
+              ::testing::ExitedWithCode(1),
+              "--threads: bad value \"257\" \\(want an integer in \\[0, 256\\]\\)");
+  EXPECT_EXIT(Parse({"--threads=9223372036854775807"}).GetInt("threads", 0, 0, 256),
+              ::testing::ExitedWithCode(1), "--threads: bad value .* \\(want an integer in");
+}
+
 TEST(FlagsDeathTest, RejectsMalformedNumbersNamingTheFlag) {
   for (const char* value : {"abc", "2s", "1e", " 2", "inf", "nan", "1e999"}) {
     const FlagParser flags = Parse({"--duration", value});

@@ -74,11 +74,11 @@ TEST(PolicyRegistryTest, DuplicateRegistrationRejected) {
 TEST(PolicyRegistryTest, EffectiveNameResolution) {
   EnergySchedConfig config;
   EXPECT_EQ(EffectiveBalancerName(config), "energy_aware");
-  config.balancer_kind = BalancerKind::kPowerOnly;
+  config.balancer_name = "power_only";
   EXPECT_EQ(EffectiveBalancerName(config), "power_only");
-  config.balancer_kind = BalancerKind::kTemperatureOnly;
+  config.balancer_name = "temperature_only";
   EXPECT_EQ(EffectiveBalancerName(config), "temperature_only");
-  config.balancer_name = "my_custom";  // explicit name beats the enum
+  config.balancer_name = "my_custom";  // unregistered names pass through
   EXPECT_EQ(EffectiveBalancerName(config), "my_custom");
   config.energy_balancing = false;  // disabled beats everything
   EXPECT_EQ(EffectiveBalancerName(config), "load_only");

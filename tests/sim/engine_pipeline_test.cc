@@ -255,9 +255,9 @@ TEST(EnginePipelineTest, MatchesMonolithicStepBaseline) {
 
 TEST(EnginePipelineTest, MatchesMonolithicStepNaivePolicies) {
   EnergySchedConfig sched;
-  sched.balancer_kind = BalancerKind::kPowerOnly;
+  sched.balancer_name = "power_only";
   RunEquivalence(PipelineConfig(false, false, sched), 5'000);
-  sched.balancer_kind = BalancerKind::kTemperatureOnly;
+  sched.balancer_name = "temperature_only";
   RunEquivalence(PipelineConfig(true, false, sched), 5'000);
 }
 

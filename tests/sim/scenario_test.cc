@@ -53,7 +53,6 @@ TEST(ScenarioRegistryTest, RegisterRejectsDuplicates) {
 TEST(ScenarioRegistryTest, BuildStampsTheRegisteredName) {
   const ScenarioSpec spec = ScenarioRegistry::Global().BuildOrThrow("paper-mixed");
   EXPECT_EQ(spec.name, "paper-mixed");
-  EXPECT_FALSE(spec.description.empty());
 }
 
 TEST(ScenarioRegistryTest, EveryBuiltinBuildsANonEmptyWorkload) {

@@ -17,9 +17,13 @@ of one instance at test time. Two check families:
                      order changes run to run - the historical seed case was
                      BalanceAggregateCache keying group aggregates by
                      `const CpuGroup*`).
-  registry/metric    Registered scenario and governor names are lowercase
-  hygiene            kebab-case, balance-policy names lowercase snake_case
-                     (the established naming rules); the metric schema is
+  registry/metric    Registered scenario, governor and sink-kind names are
+  hygiene            lowercase kebab-case, balance-policy names lowercase
+                     snake_case (the established naming rules); the
+                     registry's type comes from `X::Global()` or from the
+                     declaration `X& registry` in the same file, so builtin
+                     registration functions take the wrapper type, never
+                     a bare Registry<...>; the metric schema is
                      defined exactly once - MetricValue construction and
                      RegisterScalar/RegisterSeries calls outside
                      src/sim/metrics.cc are flagged so every summary column
@@ -442,6 +446,7 @@ class Linter:
         "BalancePolicyRegistry": ("snake_case", SNAKE_RE),
         "ScenarioRegistry": ("kebab-case", KEBAB_RE),
         "FrequencyGovernorRegistry": ("kebab-case", KEBAB_RE),
+        "SinkRegistry": ("kebab-case", KEBAB_RE),
     }
 
     def check_fault_rng_isolation(self, source):

@@ -29,7 +29,6 @@
 // src/service/wire.h over a Unix socket; `submit` records are byte-for-byte
 // what the same request writes through --jsonl offline.
 
-#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -278,10 +277,9 @@ int RunServe(const eas::FlagParser& flags) {
   }
   eas::ServerOptions options;
   options.socket_path = socket;
-  options.service.queue_depth =
-      static_cast<std::size_t>(std::max(1LL, flags.GetInt("queue-depth", 64)));
+  options.service.queue_depth = static_cast<std::size_t>(flags.GetInt("queue-depth", 64, 1));
   options.service.workers =
-      static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
+      static_cast<std::size_t>(flags.GetInt("threads", 0, 0, eas::kMaxServiceWorkers));
   auto server = eas::ExperimentServer::Start(std::move(options));
   if (!server.ok()) {
     std::fprintf(stderr, "eastool serve: %s\n", server.error().Render().c_str());
@@ -504,8 +502,7 @@ int main(int argc, char** argv) {
   eas::JsonlSink jsonl(jsonl_path);
   eas::AsciiPlotSink plot(stdout);
 
-  eas::RunSession session(
-      static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0))));
+  eas::RunSession session(static_cast<std::size_t>(flags.GetInt("threads", 0, 0)));
   if (!summary_csv.empty() || !trace_csv.empty()) {
     session.AddSink(csv);
   }
